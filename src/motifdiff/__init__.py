@@ -1,15 +1,12 @@
 """Subgraph-count evaluation for graph generative models, plus an exact-score
 Gaussian graph-diffusion testbed."""
 
-from .counting import (CountDistribution, count_distribution,
-                       count_injective_homs, count_rooted, count_subgraphs,
-                       naive_count_oracle)
+from .counting import (CountDistribution, count_injective_homs, count_rooted,
+                       count_subgraphs, count_table, naive_count_oracle)
 from .datagen import plant_pattern_dataset
 from .dataio import read_dataset, write_dataset
 from .diffusion import (BasisExpansionReport, NoiseSchedule, ScoreConfig,
-                        ScoreOracle, exact_score_direct, exact_score_series,
-                        log_density, perturb, quantize, reverse_sample,
-                        schedule, verify_basis_expansion)
+                        ScoreOracle, perturb, quantize, verify_basis_expansion)
 from .errors import (CapacityError, ContractError, GenerationError,
                      InputError, MotifdiffError, NumericalRegimeError,
                      SeriesDivergenceError)
@@ -33,14 +30,13 @@ __all__ = [
     "NoiseSchedule", "NumericalRegimeError", "PATTERN_LIBRARY",
     "PATTERN_NAMES", "Pattern", "ScoreConfig", "ScoreOracle",
     "SeriesDivergenceError", "are_isomorphic", "automorphism_count",
-    "canonical_form", "count_distribution", "count_injective_homs",
-    "count_rooted", "count_subgraphs", "derive_marked_patterns",
-    "equivariant_basis", "evaluate", "exact_score_direct",
-    "exact_score_series", "get_pattern", "graph_from_edge_list",
+    "canonical_form", "count_injective_homs", "count_rooted",
+    "count_subgraphs", "count_table", "derive_marked_patterns",
+    "equivariant_basis", "evaluate", "get_pattern", "graph_from_edge_list",
     "invariant_basis", "invariant_monomial_sum", "is_connected",
-    "log_density", "marked_canonical_form", "monomial_graph", "monomial_sum",
+    "marked_canonical_form", "monomial_graph", "monomial_sum",
     "naive_count_oracle", "novelty_ratio", "permute_graph",
     "perturb", "pinned_monomial_matrix", "plant_pattern_dataset", "quantize",
-    "read_dataset", "resolve_patterns", "reverse_sample", "schedule",
-    "tv_distance", "verify_basis_expansion", "write_dataset",
+    "read_dataset", "resolve_patterns", "tv_distance",
+    "verify_basis_expansion", "write_dataset",
 ]

@@ -12,11 +12,10 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 
 import numpy as np
 
-from .counting import CountDistribution, count_subgraphs
+from .counting import CountDistribution, count_table
 from .dataio import read_dataset, write_dataset
 from .datagen import plant_pattern_dataset
 from .diffusion import NoiseSchedule, ScoreConfig, ScoreOracle
@@ -69,13 +68,11 @@ def cmd_count(args) -> int:
         "n_graphs": len(ds),
         "patterns": {},
     }
-    for p in patterns:
-        values = ordered_map(partial(count_subgraphs, p=p), ds.graphs,
-                             threads=args.threads)
-        dist = CountDistribution.from_counts(values)
+    table = count_table(ds.graphs, patterns, threads=args.threads)
+    for p, values in zip(patterns, table):
         report["patterns"][p.name] = {
-            "per_graph": [int(v) for v in values],
-            "histogram": dist.to_json_dict(),
+            "per_graph": values,
+            "histogram": CountDistribution.from_counts(values).to_json_dict(),
         }
     validate_output(report, COUNT_REPORT)
     _emit(report, args.out)
@@ -126,11 +123,11 @@ def cmd_sample(args) -> int:
                       series_ratio_max=args.series_ratio_max)
     n = args.n
     if n is None:
-        sizes = {g.n for g in train.graphs}
+        sizes = train.node_counts()
         if len(sizes) != 1:
             raise InputError(
-                f"training set mixes node counts {sorted(sizes)}; pass --n")
-        n = sizes.pop()
+                f"training set mixes node counts {list(sizes)}; pass --n")
+        (n,) = sizes
     indices = list(range(args.num_samples))
     n_chunks = max(1, min(args.threads, len(indices)))
     chunks = [indices[i::n_chunks] for i in range(n_chunks)]

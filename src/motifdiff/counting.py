@@ -11,23 +11,23 @@ intersection. Patterns are tiny (at most 12 nodes) and hosts are desk scale,
 so this is exact and fast without any isomorphism-counting shortcuts.
 
 ``naive_count_oracle`` recounts by brute force over all injective node
-assignments. It exists to cross-check the matcher and is deliberately
-independent of it: no shared traversal code, just adjacency lookups over
-explicitly materialized assignments.
+assignments: the exact integer monomial sum of the pattern's edges over the
+host adjacency, divided by |Aut|. It exists to cross-check the matcher and
+is deliberately independent of it: no shared traversal code, just adjacency
+lookups over explicitly materialized assignments.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Mapping
-
-import numpy as np
+from functools import partial
+from typing import Mapping, Sequence
 
 from .errors import CapacityError, ContractError, InputError
-from .graphs import Dataset, Graph, Pattern, automorphism_count
+from .graphs import Graph, Pattern, automorphism_count
 from .parallel import ordered_map
+from .polynomials import monomial_sum
 
 # Brute-force oracle materializes n!/(n-k)! assignments; past this it stops
 # being a quick cross-check and starts being a space problem.
@@ -150,28 +150,16 @@ def count_rooted(g: Graph, i: int, j: int, p: Pattern) -> int:
     return _count_embeddings(g, p, pins={c: i, d: j})
 
 
-@lru_cache(maxsize=64)
-def _assignment_arrays(n: int, k: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n), k)), dtype=np.intp)
-
-
 def naive_count_oracle(g: Graph, p: Pattern) -> int:
     """Brute-force recount over all injective node assignments (n <= 9)."""
     if g.n > ORACLE_NODE_CAP:
         raise CapacityError(
             f"oracle is capped at {ORACLE_NODE_CAP} host nodes, got {g.n}")
-    k = p.graph.n
-    if k == 0:
-        return 1
-    if k > g.n:
-        return 0
-    asn = _assignment_arrays(g.n, k)
-    acc = np.ones(len(asn), dtype=bool)
-    for a, b in p.graph.edge_list:
-        acc &= g.adj[asn[:, a], asn[:, b]].astype(bool)
-    homs = int(acc.sum())
+    homs = monomial_sum(g.adj, p.k, p.graph.edge_list)
     aut = automorphism_count(p.graph)
-    assert homs % aut == 0
+    if homs % aut:
+        raise ContractError(
+            f"brute-force map count {homs} not divisible by |Aut| = {aut}")
     return homs // aut
 
 
@@ -225,11 +213,19 @@ class CountDistribution:
         return out
 
 
-def count_distribution(ds: Dataset, pattern: Pattern,
-                       threads: int = 1) -> CountDistribution:
-    """Per-graph pattern counts over a dataset, as an empirical distribution."""
-    if not ds.graphs:
-        raise InputError("dataset has no graphs")
-    values = ordered_map(partial(count_subgraphs, p=pattern), ds.graphs,
-                         threads=threads)
-    return CountDistribution.from_counts(values)
+def _graph_counts(g: Graph, patterns: tuple[Pattern, ...]) -> tuple[int, ...]:
+    return tuple(count_subgraphs(g, p) for p in patterns)
+
+
+def count_table(graphs: Sequence[Graph], patterns: Sequence[Pattern],
+                threads: int = 1) -> list[list[int]]:
+    """Subgraph counts of every pattern in every graph, in one worker pool.
+
+    Returns one column per pattern (in pattern order) holding the per-graph
+    counts (in graph order).
+    """
+    if not graphs:
+        raise InputError("no graphs to count")
+    rows = ordered_map(partial(_graph_counts, patterns=tuple(patterns)),
+                       graphs, threads=threads)
+    return [list(column) for column in zip(*rows)]

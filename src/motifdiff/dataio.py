@@ -11,8 +11,12 @@ import json
 from pathlib import Path
 from typing import TextIO
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .graphs import Dataset, Graph, graph_from_edge_list
+
+# Graphs are held as dense n x n adjacency matrices; refuse larger hosts
+# before allocating one.
+HOST_NODE_CAP = 1000
 
 
 def _parse_graph_line(obj, lineno: int) -> Graph:
@@ -24,6 +28,9 @@ def _parse_graph_line(obj, lineno: int) -> Graph:
     edges = obj["edges"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise InputError(f"line {lineno}: 'n' must be an integer")
+    if n > HOST_NODE_CAP:
+        raise CapacityError(
+            f"line {lineno}: {n} nodes exceeds the host cap of {HOST_NODE_CAP}")
     if not isinstance(edges, list) or not all(
             isinstance(e, list) and len(e) == 2 for e in edges):
         raise InputError(f"line {lineno}: 'edges' must be a list of pairs")
@@ -57,8 +64,8 @@ def read_dataset_lines(lines, source: str = "<stream>") -> Dataset:
             continue
         try:
             graphs.append(_parse_graph_line(obj, lineno))
-        except InputError as exc:
-            raise InputError(f"{source}: {exc}") from None
+        except (InputError, CapacityError) as exc:
+            raise type(exc)(f"{source}: {exc}") from None
     if not graphs:
         raise InputError(f"{source}: no graphs found")
     return Dataset(graphs=tuple(graphs), metadata=metadata)

@@ -123,10 +123,6 @@ class NoiseSchedule:
         return alpha, beta
 
 
-def schedule(sched: NoiseSchedule, t: float) -> tuple[float, float]:
-    return sched.alpha_beta(t)
-
-
 @dataclass(frozen=True)
 class ScoreConfig:
     """Knobs of the exact-score oracle.
@@ -253,12 +249,17 @@ class ScoreOracle:
         b2 = beta * beta
         return -w / b2 + (alpha / b2) * posterior_mean
 
+    def _series_argument(self, w: np.ndarray, alpha: float,
+                         beta: float) -> tuple[np.ndarray, float]:
+        """Exponent arguments x = (alpha/beta^2)<template, w> and max |x|."""
+        ip = np.einsum("ve,e->v", self._V, w, optimize=False)
+        x = (alpha / (beta * beta)) * ip
+        return x, float(np.abs(x).max()) if x.size else 0.0
+
     def _series_upper(self, w: np.ndarray, t: float, order: int) -> np.ndarray:
         alpha, beta = self._alpha_beta(t)
         b2 = beta * beta
-        ip = np.einsum("ve,e->v", self._V, w, optimize=False)
-        x = (alpha / b2) * ip
-        ratio = float(np.abs(x).max()) if x.size else 0.0
+        x, ratio = self._series_argument(w, alpha, beta)
         if ratio > self.cfg.series_ratio_max:
             raise SeriesDivergenceError(
                 f"series argument ratio {ratio:.3g} exceeds"
@@ -308,10 +309,8 @@ class ScoreOracle:
     def series_ratio(self, W, t: float) -> float:
         """Largest exponent argument the series would see; its regime gauge."""
         alpha, beta = self._alpha_beta(t)
-        w = upper_vector(self._check_matrix(W))
-        ip = np.einsum("ve,e->v", self._V, w, optimize=False)
-        x = (alpha / (beta * beta)) * ip
-        return float(np.abs(x).max()) if x.size else 0.0
+        return self._series_argument(upper_vector(self._check_matrix(W)),
+                                     alpha, beta)[1]
 
     def reverse_sample(self, steps: int, score_mode: str = "direct",
                        rng=None, *, threshold: float = 0.5,
@@ -347,54 +346,6 @@ class ScoreOracle:
         if trajectory is not None:
             trajectory.append((float(sched.t_min), symmetric_from_upper(w, n)))
         return quantize(symmetric_from_upper(w, n), threshold)
-
-
-# ---------------------------------------------------------------------------
-# convenience wrappers (one-shot oracle construction)
-
-
-def _oracle_for(W, dataset: Dataset, cfg, sched) -> tuple[ScoreOracle, np.ndarray]:
-    arr = validate_symmetric(W)
-    oracle = ScoreOracle(dataset, arr.shape[0], cfg=cfg, sched=sched)
-    return oracle, arr
-
-
-def log_density(W, t: float, dataset: Dataset, cfg: ScoreConfig | None = None,
-                sched: NoiseSchedule | None = None) -> float:
-    oracle, arr = _oracle_for(W, dataset, cfg, sched)
-    return oracle.log_density(arr, t)
-
-
-def exact_score_direct(W, t: float, dataset: Dataset,
-                       cfg: ScoreConfig | None = None,
-                       sched: NoiseSchedule | None = None) -> np.ndarray:
-    oracle, arr = _oracle_for(W, dataset, cfg, sched)
-    return oracle.score(arr, t)
-
-
-def exact_score_series(W, t: float, dataset: Dataset,
-                       cfg: ScoreConfig | None = None,
-                       sched: NoiseSchedule | None = None,
-                       order: int | None = None) -> np.ndarray:
-    oracle, arr = _oracle_for(W, dataset, cfg, sched)
-    return oracle.score_series(arr, t, order)
-
-
-def reverse_sample(dataset: Dataset, sched: NoiseSchedule | None = None,
-                   steps: int = 500, score_mode: str = "direct", rng=None, *,
-                   cfg: ScoreConfig | None = None, n: int | None = None,
-                   threshold: float = 0.5,
-                   trajectory: list | None = None) -> Graph:
-    """One reverse-diffusion sample from scratch (builds a fresh oracle)."""
-    if n is None:
-        sizes = {g.n for g in dataset.graphs}
-        if len(sizes) != 1:
-            raise InputError(
-                f"dataset mixes node counts {sorted(sizes)}; pass n explicitly")
-        n = sizes.pop()
-    oracle = ScoreOracle(dataset, n, cfg=cfg, sched=sched)
-    return oracle.reverse_sample(steps, score_mode=score_mode, rng=rng,
-                                 threshold=threshold, trajectory=trajectory)
 
 
 # ---------------------------------------------------------------------------

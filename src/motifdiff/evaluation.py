@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .counting import CountDistribution, count_distribution
+from .counting import CountDistribution, count_table
 from .errors import ContractError, InputError
 from .graphs import Dataset, Pattern, canonical_form
 
@@ -113,13 +113,18 @@ def evaluate(train: Dataset, gen: Dataset, patterns: Sequence[Pattern],
     """Per-pattern TV distances plus novelty, as one report."""
     if not train.graphs or not gen.graphs:
         raise InputError("both datasets must be non-empty")
-    per_pattern: dict[str, PatternEval] = {}
-    for idx, p in enumerate(patterns):
-        name = p.name if p.name is not None else f"pattern{idx}"
-        if name in per_pattern:
+    names = [p.name if p.name is not None else f"pattern{idx}"
+             for idx, p in enumerate(patterns)]
+    for idx, name in enumerate(names):
+        if name in names[:idx]:
             raise InputError(f"duplicate pattern name {name!r}")
-        train_hist = count_distribution(train, p, threads=threads)
-        gen_hist = count_distribution(gen, p, threads=threads)
+    # one counting pass over both sets; each column lists train's graphs first
+    table = count_table(train.graphs + gen.graphs, patterns, threads=threads)
+    split = len(train.graphs)
+    per_pattern: dict[str, PatternEval] = {}
+    for name, values in zip(names, table):
+        train_hist = CountDistribution.from_counts(values[:split])
+        gen_hist = CountDistribution.from_counts(values[split:])
         per_pattern[name] = PatternEval(tv=tv_distance(train_hist, gen_hist),
                                         train_hist=train_hist,
                                         gen_hist=gen_hist)

@@ -22,6 +22,7 @@ real side).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -55,7 +56,8 @@ def monomial_sum(W, k_nodes: int, edges) -> int | float:
     """Raw injective monomial sum: sum over injective maps [k_nodes] -> [n]
     of the product of W entries along `edges` (repeats retain multiplicity).
 
-    Integer input accumulates exactly in int64; otherwise float64.
+    Integer input accumulates exactly in int64; otherwise float64 products
+    are summed with ``math.fsum``.
     """
     W = _as_square(W)
     n = W.shape[0]
@@ -71,8 +73,9 @@ def monomial_sum(W, k_nodes: int, edges) -> int | float:
         if not (0 <= a < k_nodes and 0 <= b < k_nodes):
             raise InputError(f"edge ({a}, {b}) out of range for k={k_nodes}")
         acc = acc * W[asn[:, a], asn[:, b]].astype(dtype)
-    total = acc.sum()
-    return int(total) if exact else float(total)
+    # fsum is correctly rounded, so the sum does not depend on assignment
+    # order: permuting W permutes the products and leaves the bits unchanged
+    return int(acc.sum()) if exact else math.fsum(acc.tolist())
 
 
 def pinned_monomial_matrix(W, k_nodes: int, edges, c: int, d: int) -> np.ndarray:
@@ -112,7 +115,7 @@ def pinned_monomial_matrix(W, k_nodes: int, edges, c: int, d: int) -> np.ndarray
                 va = i if a == c else j if a == d else cols[:, col[a]]
                 vb = i if b == c else j if b == d else cols[:, col[b]]
                 acc = acc * W[va, vb].astype(dtype)
-            out[i, j] = acc.sum()
+            out[i, j] = acc.sum() if exact else math.fsum(acc.tolist())
     return out
 
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from motifdiff.counting import (CountDistribution, count_distribution,
-                                count_injective_homs, count_rooted,
-                                count_subgraphs, naive_count_oracle)
+from motifdiff.counting import (CountDistribution, count_injective_homs,
+                                count_rooted, count_subgraphs, count_table,
+                                naive_count_oracle)
 from motifdiff.errors import CapacityError, ContractError, InputError
 from motifdiff.graphs import Dataset, Graph, Pattern
 from motifdiff.patterns import (PATTERN_LIBRARY, derive_marked_patterns,
@@ -126,10 +126,15 @@ def test_count_distribution_validation():
 
 
 def test_count_distribution_over_dataset():
-    ds = Dataset(graphs=(complete_graph(4), cycle(4), cycle(3)))
-    d1 = count_distribution(ds, get_pattern("c3"), threads=1)
-    d2 = count_distribution(ds, get_pattern("c3"), threads=2)
-    assert d1 == d2
-    assert d1.counts == {0: 1, 1: 1, 4: 1}
+    ds = Dataset(graphs=(complete_graph(4), cycle(4), cycle(3), cycle(6),
+                         fused_cycles_graph(5, 5)))
+    patterns = [get_pattern(name) for name in ("c3", "c4", "c5", "l5")]
+    t1 = count_table(ds.graphs, patterns, threads=1)
+    t2 = count_table(ds.graphs, patterns, threads=2)
+    assert t1 == t2
+    assert t1 == [[count_subgraphs(g, p) for g in ds.graphs] for p in patterns]
+    d1 = CountDistribution.from_counts(t1[0])
+    assert d1 == CountDistribution.from_counts(t2[0])
+    assert d1.counts == {0: 3, 1: 1, 4: 1}
     with pytest.raises(InputError):
-        count_distribution(Dataset(graphs=()), get_pattern("c3"))
+        count_table((), [get_pattern("c3")])

@@ -2,9 +2,10 @@
 
 import pytest
 
-from motifdiff.dataio import (graph_to_json_dict, read_dataset,
+from motifdiff.cli import main
+from motifdiff.dataio import (HOST_NODE_CAP, graph_to_json_dict, read_dataset,
                               read_dataset_lines, write_dataset)
-from motifdiff.errors import InputError
+from motifdiff.errors import CapacityError, InputError
 from motifdiff.graphs import Dataset, Graph
 
 
@@ -78,3 +79,15 @@ def test_empty_input_rejected():
         read_dataset_lines([])
     with pytest.raises(InputError):
         read_dataset_lines(['{"meta": {"only": "meta"}}'])
+
+
+def test_host_node_cap(tmp_path):
+    ok = read_dataset_lines([f'{{"n": {HOST_NODE_CAP}, "edges": [[1, 2]]}}'])
+    assert ok.graphs[0].n == HOST_NODE_CAP
+    line = f'{{"n": {HOST_NODE_CAP + 1}, "edges": []}}'
+    with pytest.raises(CapacityError) as err:
+        read_dataset_lines(['{"n": 1, "edges": []}', line], source="f")
+    assert "f: line 2" in str(err.value)
+    path = tmp_path / "big.jsonl"
+    path.write_text(line + "\n")
+    assert main(["count", "--in", str(path), "--patterns", "c3"]) == 2

@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from motifdiff.diffusion import (NoiseSchedule, ScoreConfig, ScoreOracle,
-                                 exact_score_direct, exact_score_series,
-                                 log_density, permute_matrix, perturb,
-                                 quantize, random_symmetric, reverse_sample,
-                                 schedule, symmetric_from_upper, upper_vector,
-                                 validate_symmetric)
+                                 permute_matrix, perturb, quantize,
+                                 random_symmetric, symmetric_from_upper,
+                                 upper_vector, validate_symmetric)
 from motifdiff.errors import (CapacityError, InputError, NumericalRegimeError,
                               SeriesDivergenceError)
 from motifdiff.graphs import Dataset, Graph
@@ -61,7 +59,7 @@ def test_schedule_constants():
     assert beta0 == pytest.approx(0.010485416335094895, abs=1e-12)
     assert sched.rate(0.5) == pytest.approx(0.1 + 0.5 * 19.9, rel=1e-15)
     for t in np.linspace(1e-3, 1.0, 23):
-        a, b = schedule(sched, float(t))
+        a, b = sched.alpha_beta(float(t))
         assert a * a + b * b == pytest.approx(1.0, abs=1e-12)
         assert 0 < a < 1 and 0 < b < 1
 
@@ -256,29 +254,3 @@ def test_reverse_sample_determinism_and_trajectory():
         assert np.array_equal(W, W.T)
     # omitted rng falls back to the config seed, deterministically
     assert oracle.reverse_sample(12) == oracle.reverse_sample(12)
-
-
-def test_reverse_sample_wrapper():
-    ds = small_dataset(4, 2, 0)
-    g1 = reverse_sample(ds, steps=12, rng=np.random.default_rng(3), cfg=EXH)
-    oracle = ScoreOracle(ds, 4, cfg=EXH)
-    g2 = oracle.reverse_sample(12, rng=np.random.default_rng(3))
-    assert g1 == g2
-    mixed = Dataset(graphs=(complete_graph(3), complete_graph(4)))
-    with pytest.raises(InputError):
-        reverse_sample(mixed, steps=12, cfg=EXH)
-    g3 = reverse_sample(mixed, steps=12, rng=np.random.default_rng(3),
-                        cfg=EXH, n=4)
-    assert g3.n == 4
-
-
-def test_one_shot_wrappers_match_oracle():
-    ds = small_dataset(4, 2, 5)
-    oracle = ScoreOracle(ds, 4, cfg=EXH)
-    W = random_symmetric(4, np.random.default_rng(2))
-    t = 0.5
-    assert log_density(W, t, ds, cfg=EXH) == oracle.log_density(W, t)
-    assert np.array_equal(exact_score_direct(W, t, ds, cfg=EXH),
-                          oracle.score(W, t))
-    assert np.array_equal(exact_score_series(W, t, ds, cfg=EXH, order=8),
-                          oracle.score_series(W, t, order=8))

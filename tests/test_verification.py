@@ -40,6 +40,14 @@ def test_equivariance_small():
     assert rep["max_error"] <= 1e-12
 
 
+def test_equivariance_is_exact_under_permutation():
+    # seed 209 draws a W whose l5 sum, added in array order, moves by
+    # 1.1e-12 under relabeling; a correctly rounded sum does not move
+    rep = run_equivariance(seed=209)
+    assert rep["passed"]
+    assert rep["max_error"] == 0.0
+
+
 def test_series_reports_regime():
     rep = run_series(trials=2)
     assert rep["passed"]
