@@ -11,9 +11,9 @@ from .errors import (CapacityError, ContractError, GenerationError,
                      InputError, MotifdiffError, NumericalRegimeError,
                      SeriesDivergenceError)
 from .evaluation import EvalReport, evaluate, novelty_ratio, tv_distance
-from .graphs import (Dataset, Graph, Pattern, are_isomorphic,
-                     automorphism_count, canonical_form, graph_from_edge_list,
-                     is_connected, marked_canonical_form, permute_graph)
+from .graphs import (Dataset, Graph, Pattern, automorphism_count,
+                     canonical_form, graph_from_edge_list, is_connected,
+                     marked_canonical_form, permute_graph)
 from .patterns import (PATTERN_LIBRARY, PATTERN_NAMES, derive_marked_patterns,
                        get_pattern, resolve_patterns)
 from .polynomials import (IndexTuple, MonomialGraph, equivariant_basis,
@@ -29,7 +29,7 @@ __all__ = [
     "IndexTuple", "InputError", "MonomialGraph", "MotifdiffError",
     "NoiseSchedule", "NumericalRegimeError", "PATTERN_LIBRARY",
     "PATTERN_NAMES", "Pattern", "ScoreConfig", "ScoreOracle",
-    "SeriesDivergenceError", "are_isomorphic", "automorphism_count",
+    "SeriesDivergenceError", "automorphism_count",
     "canonical_form", "count_injective_homs", "count_rooted",
     "count_subgraphs", "count_table", "derive_marked_patterns",
     "equivariant_basis", "evaluate", "get_pattern", "graph_from_edge_list",

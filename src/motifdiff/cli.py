@@ -188,41 +188,43 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# The verify flags each suite reads, as flag -> runner keyword. A flag the
+# selected suite does not read is refused; under --suite all, each suite
+# gets the flags it reads.
+_VERIFY_FLAGS = {
+    "count-identity": {"seed": "seed", "trials": "trials", "n": "n_max"},
+    "finitediff": {"seed": "seed", "tolerance": "tolerance"},
+    "series": {"seed": "seed", "tolerance": "tolerance", "trials": "trials",
+               "k": "order"},
+    "basis": {"seed": "seed", "tolerance": "tolerance", "n": "n_values",
+              "k": "orders"},
+    "equivariance": {"seed": "seed", "tolerance": "tolerance",
+                     "trials": "trials", "n": "n_values"},
+}
+# runner keywords that take a tuple where the flag gives one number
+_TUPLE_KEYWORDS = {"n_values": lambda n: (n,),
+                   "orders": lambda k: tuple(range(k + 1))}
+
+
 def cmd_verify(args) -> int:
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.tolerance is not None:
-        overrides["tolerance"] = args.tolerance
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-
-    def with_size(suite: str) -> dict:
-        extra = dict(overrides)
-        if suite == "count-identity":
-            extra.pop("tolerance", None)
-            if args.n is not None:
-                extra["n_max"] = args.n
-        elif suite == "basis":
-            extra.pop("trials", None)
-            if args.n is not None:
-                extra["n_values"] = (args.n,)
-            if args.k is not None:
-                extra["orders"] = tuple(range(args.k + 1))
-        elif suite == "series":
-            if args.k is not None:
-                extra["order"] = args.k
-        elif suite == "equivariance":
-            if args.n is not None:
-                extra["n_values"] = (args.n,)
-        elif suite == "finitediff":
-            extra.pop("trials", None)
-        return extra
-
-    if args.suite == "all":
-        suites = [run_suite(name, **with_size(name)) for name in SUITE_NAMES]
-    else:
-        suites = [run_suite(args.suite, **with_size(args.suite))]
+    flags = {flag for table in _VERIFY_FLAGS.values() for flag in table}
+    given = {flag: getattr(args, flag) for flag in sorted(flags)
+             if getattr(args, flag) is not None}
+    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
+    if args.suite != "all":
+        unread = [flag for flag in given if flag not in _VERIFY_FLAGS[args.suite]]
+        if unread:
+            raise InputError(
+                f"suite {args.suite} does not read "
+                + ", ".join(f"--{flag}" for flag in unread))
+    suites = []
+    for name in names:
+        overrides = {}
+        for flag, keyword in _VERIFY_FLAGS[name].items():
+            if flag in given:
+                as_tuple = _TUPLE_KEYWORDS.get(keyword)
+                overrides[keyword] = as_tuple(given[flag]) if as_tuple else given[flag]
+        suites.append(run_suite(name, **overrides))
     report = {"suites": suites, "passed": all(s["passed"] for s in suites)}
     for s in suites:
         validate_output(s, SUITE_REPORT)
@@ -336,12 +338,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_dirs(args) -> None:
+    """Refuse an output path in a missing directory before doing any work."""
+    for path in (getattr(args, "out", None), getattr(args, "trajectories", None)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise InputError(f"output directory of {path} does not exist")
+
+
 def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
+        _check_output_dirs(args)
         return args.func(args)
-    except MotifdiffError as exc:
+    except (MotifdiffError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -73,8 +73,13 @@ def read_dataset_lines(lines, source: str = "<stream>") -> Dataset:
 
 def read_dataset(path) -> Dataset:
     p = Path(path)
-    with p.open("r", encoding="utf-8") as fh:
-        return read_dataset_lines(fh, source=str(p))
+    try:
+        with p.open("r", encoding="utf-8") as fh:
+            return read_dataset_lines(fh, source=str(p))
+    except OSError as exc:
+        raise InputError(f"cannot read {p}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{p}: not UTF-8 text") from None
 
 
 def graph_to_json_dict(g: Graph) -> dict:

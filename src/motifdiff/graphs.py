@@ -1,17 +1,24 @@
-"""Core graph types and exact isomorphism machinery.
+"""Core graph types and exact symmetry machinery.
 
 Graphs are simple and undirected: binary symmetric adjacency, zero diagonal.
 Node ids are 0-based everywhere inside the library; ``graph_from_edge_list``
 and the JSONL dataset format are the 1-based boundary.
 
-Isomorphism testing, automorphism counting and canonical labeling share a
-color-refinement + individualization search. That is exact at any size and
-fast for the small, mostly sparse graphs this library targets; it makes no
-attempt to compete with nauty on adversarial inputs.
+Canonical labeling and automorphism counting are one individualize-and-refine
+search (after McKay & Piperno, "Practical graph isomorphism, II"). The
+canonical ordering is the search leaf with the smallest adjacency encoding,
+so equal ``canonical_form`` bytes is the isomorphism test. Each branching
+cell is split into twin classes (N(u) - {v} == N(v) - {u}); swapping twins
+is an automorphism that fixes every earlier choice, so one member per class
+is searched, weighted by the class size, and |Aut| is the summed weight of
+the leaves that tie the smallest encoding. A cell that is one twin class does
+not branch, so stars and isolated nodes add no leaves. Symmetry between
+non-twin parts stays exponential: k disjoint edges give k! leaves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -190,7 +197,7 @@ def is_connected(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# color refinement and canonical labeling
+# the symmetry search: canonical labeling and automorphism counting
 
 
 def _refine_colors(n: int, neighbors: Sequence[Sequence[int]],
@@ -217,50 +224,80 @@ def _ordering_bits(adj: np.ndarray, order: Sequence[int]) -> bytes:
     return np.packbits(sub[iu]).tobytes()
 
 
-def _canonical_order(g: Graph, colors0: Sequence[int]) -> tuple[int, ...]:
-    """Node ordering whose adjacency encoding is minimal among all orderings
-    consistent with the (refined) colors. Individualize-and-refine search."""
+def _individualize(colors: Sequence[int], v: int) -> list[int]:
+    child = [2 * c for c in colors]
+    child[v] -= 1
+    return child
+
+
+def _twin_classes(cell: Sequence[int], masks: Sequence[int]) -> list[list[int]]:
+    """Split `cell` into twin classes, each listed in increasing node order.
+
+    u and v are twins when N(u) - {v} == N(v) - {u}: equal neighbor masks
+    (non-adjacent twins) or equal closed-neighborhood masks (adjacent twins).
+    No node has twins of both kinds, so the two groupings give a partition.
+    """
+    open_groups: dict[int, list[int]] = {}
+    for v in cell:
+        open_groups.setdefault(masks[v], []).append(v)
+    classes = [grp for grp in open_groups.values() if len(grp) > 1]
+    closed_groups: dict[int, list[int]] = {}
+    for grp in open_groups.values():
+        if len(grp) == 1:
+            v = grp[0]
+            closed_groups.setdefault(masks[v] | (1 << v), []).append(v)
+    classes.extend(closed_groups.values())
+    return classes
+
+
+def _symmetry_search(g: Graph, colors0: Sequence[int]
+                     ) -> tuple[tuple[int, ...], bytes, int]:
+    """Canonical node ordering of (g, colors0), its adjacency encoding (the
+    smallest among the search leaves) and the number of color-preserving
+    automorphisms."""
     n = g.n
     if n == 0:
-        return ()
+        return (), b"", 1
     if len(set(colors0)) == 1 and g.m in (0, n * (n - 1) // 2):
         # every ordering of an empty or complete graph encodes identically
-        return tuple(range(n))
+        order = tuple(range(n))
+        return order, _ordering_bits(g.adj, order), math.factorial(n)
     adj = g.adj
     neighbors = g.neighbor_lists
-    best_key: list = [None]
-    best_order: list = [None]
-
-    def search(colors: list[int]) -> None:
-        colors = _refine_colors(n, neighbors, colors)
-        cell = None
-        by_color: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            by_color.setdefault(c, []).append(v)
-        for c in sorted(by_color):
-            if len(by_color[c]) > 1:
-                cell = by_color[c]
+    masks = g.neighbor_masks
+    best_key = best_order = None
+    aut = 0
+    pending = [(list(colors0), 1)]
+    while pending:
+        colors, weight = pending.pop()
+        while True:
+            colors = _refine_colors(n, neighbors, colors)
+            by_color: dict[int, list[int]] = {}
+            for v, c in enumerate(colors):
+                by_color.setdefault(c, []).append(v)
+            cell = next((by_color[c] for c in sorted(by_color)
+                         if len(by_color[c]) > 1), None)
+            if cell is None:
                 break
-        if cell is None:
-            order = tuple(v for _, v in sorted((colors[v], v) for v in range(n)))
-            key = _ordering_bits(adj, order)
-            if best_key[0] is None or key < best_key[0]:
-                best_key[0] = key
-                best_order[0] = order
-            return
-        for v in cell:
-            child = [2 * c for c in colors]
-            child[v] -= 1
-            search(child)
-
-    search(list(colors0))
-    return best_order[0]
+            # search one member per twin class, weighted by the class size;
+            # the first class continues in this loop instead of branching
+            first, *rest = _twin_classes(cell, masks)
+            for cls in rest:
+                pending.append((_individualize(colors, cls[0]), weight * len(cls)))
+            colors = _individualize(colors, first[0])
+            weight *= len(first)
+        order = tuple(v for _, v in sorted((colors[v], v) for v in range(n)))
+        key = _ordering_bits(adj, order)
+        if best_key is None or key < best_key:
+            best_key, best_order, aut = key, order, weight
+        elif key == best_key:
+            aut += weight
+    return best_order, best_key, aut
 
 
 def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: equal for two graphs iff they are isomorphic."""
-    order = _canonical_order(g, (0,) * g.n)
-    bits = _ordering_bits(g.adj, order)
+    _, bits, _ = _symmetry_search(g, (0,) * g.n)
     return b"%d;%d;" % (g.n, g.m) + bits.hex().encode("ascii")
 
 
@@ -273,96 +310,16 @@ def marked_canonical_form(p: Pattern) -> bytes:
     colors0 = [0] * p.graph.n
     colors0[c] = 1
     colors0[d] = 2
-    order = _canonical_order(p.graph, colors0)
-    bits = _ordering_bits(p.graph.adj, order)
+    order, bits, _ = _symmetry_search(p.graph, colors0)
     return (b"%d;%d;%d,%d;" % (p.graph.n, p.graph.m, order.index(c), order.index(d))
             + bits.hex().encode("ascii"))
 
 
-# ---------------------------------------------------------------------------
-# isomorphism and automorphism counting
-
-
-def _find_bijection(g1: Graph, g2: Graph, pins: Mapping[int, int]) -> bool:
-    """Does an edge-preserving bijection g1 -> g2 exist that extends `pins`?"""
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
-    if sorted(g1.degrees) != sorted(g2.degrees):
-        return False
-    n = g1.n
-    if n == 0:
-        return True
-    if len(set(pins.values())) < len(pins):
-        return False
-    c1 = [0] * n
-    c2 = [0] * n
-    tag = 1
-    for a in sorted(pins):
-        c1[a] = tag
-        c2[pins[a]] = tag
-        tag += 1
-    c1 = _refine_colors(n, g1.neighbor_lists, c1)
-    c2 = _refine_colors(n, g2.neighbor_lists, c2)
-    if sorted(c1) != sorted(c2):
-        return False
-    class_size: dict[int, int] = {}
-    for c in c1:
-        class_size[c] = class_size.get(c, 0) + 1
-    order = sorted(range(n), key=lambda v: (class_size[c1[v]], c1[v], v))
-    targets: dict[int, list[int]] = {}
-    for u, c in enumerate(c2):
-        targets.setdefault(c, []).append(u)
-    a1 = g1.adj
-    a2 = g2.adj
-    mapping = [-1] * n
-    used = [False] * n
-    placed: list[int] = []
-
-    def dfs(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for u in targets.get(c1[v], ()):
-            if used[u]:
-                continue
-            if all(a1[v, w] == a2[u, mapping[w]] for w in placed):
-                mapping[v] = u
-                used[u] = True
-                placed.append(v)
-                if dfs(i + 1):
-                    return True
-                placed.pop()
-                used[u] = False
-                mapping[v] = -1
-        return False
-
-    return dfs(0)
-
-
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    return _find_bijection(g1, g2, {})
-
-
 def automorphism_count(g: Graph) -> int:
-    """Exact order of the automorphism group, by a stabilizer chain.
-
-    |Aut| is the product over nodes v of the size of v's orbit inside the
-    stabilizer of all previously fixed nodes; each orbit membership test is
-    one extension search.
-    """
+    """Exact order of the automorphism group: the summed weight of the
+    search leaves that tie the canonical key."""
     if g.n > AUTOMORPHISM_NODE_CAP:
         raise CapacityError(
             f"automorphism counting is capped at {AUTOMORPHISM_NODE_CAP} nodes,"
             f" got {g.n}")
-    total = 1
-    pins: dict[int, int] = {}
-    for v in range(g.n):
-        orbit = 0
-        for u in range(g.n):
-            trial = dict(pins)
-            trial[v] = u
-            if _find_bijection(g, g, trial):
-                orbit += 1
-        total *= orbit
-        pins[v] = v
-    return total
+    return _symmetry_search(g, (0,) * g.n)[2]

@@ -113,31 +113,6 @@ VERIFY_REPORT = {
     "additionalProperties": False,
 }
 
-GRAPH_LINE = {
-    "type": "object",
-    "properties": {
-        "n": {"type": "integer", "minimum": 1},
-        "edges": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "integer", "minimum": 1},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-    },
-    "required": ["n", "edges"],
-    "additionalProperties": False,
-}
-
-META_LINE = {
-    "type": "object",
-    "properties": {"meta": _CONFIG},
-    "required": ["meta"],
-    "additionalProperties": False,
-}
-
 TRAJECTORY_LINE = {
     "type": "object",
     "properties": {

@@ -1,7 +1,11 @@
 """Shared helpers for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import motifdiff
 from motifdiff.graphs import Graph
 
 
@@ -16,3 +20,12 @@ def complete_graph(n):
     adj = np.ones((n, n), dtype=np.uint8)
     np.fill_diagonal(adj, 0)
     return Graph(adj)
+
+
+def src_env():
+    """Environment for a subprocess that imports this checkout's package."""
+    src = str(Path(motifdiff.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env

@@ -1,12 +1,16 @@
 """CLI subcommands, exit codes, and output determinism."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
 from motifdiff.cli import _default_threads, main
 from motifdiff.dataio import read_dataset, write_dataset
 from motifdiff.graphs import Dataset, Graph
+
+from conftest import src_env
 
 
 def run(argv):
@@ -45,10 +49,37 @@ def test_count_error_paths(train_path, capsys):
     assert run(["count", "--in", train_path, "--patterns", "c3,c3"]) == 2
 
 
-def test_count_missing_file_is_not_swallowed(train_path):
-    # an OS-level failure is not a domain error; it propagates
-    with pytest.raises(OSError):
-        run(["count", "--in", "/nonexistent.jsonl", "--patterns", "c3"])
+def test_count_missing_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.jsonl")
+    assert run(["count", "--in", missing, "--patterns", "c3"]) == 2
+    assert "error: cannot read" in capsys.readouterr().err
+
+
+def test_missing_train_file_exits_2(train_path, tmp_path, capsys):
+    missing = str(tmp_path / "missing.jsonl")
+    assert run(["eval", "--train", missing, "--gen", train_path,
+                "--patterns", "c3"]) == 2
+    assert run(["sample", "--train", missing, "--num-samples", "1",
+                "--out", str(tmp_path / "g.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: cannot read") == 2
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.jsonl"
+    latin1.write_bytes(b'{"meta": {"note": "caf\xe9"}}\n{"n": 2, "edges": [[1, 2]]}\n')
+    assert run(["count", "--in", str(latin1), "--patterns", "c3"]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_out_in_missing_directory_exits_2_before_work(train_path, tmp_path,
+                                                        capsys):
+    out = tmp_path / "no_such_dir" / "counts.json"
+    assert run(["count", "--in", train_path, "--patterns", "c3",
+                "--threads", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: output directory" in err
+    assert "counted" not in err  # refused before counting
 
 
 def test_gen_data_deterministic_bytes(tmp_path):
@@ -168,6 +199,18 @@ def test_verify_count_identity_overrides(tmp_path):
     assert suite["tolerance"] == 0.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["--suite", "series", "--n", "5"],
+    ["--suite", "finitediff", "--trials", "1", "--k", "3"],
+    ["--suite", "count-identity", "--tolerance", "0.5"],
+])
+def test_verify_rejects_flags_the_suite_does_not_read(argv, tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert run(["verify", *argv, "--out", str(out)]) == 2
+    assert "does not read" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_unknown_suite_is_a_usage_error():
     with pytest.raises(SystemExit):
         run(["verify", "--suite", "everything"])
@@ -189,3 +232,20 @@ def test_stdout_emission(train_path, capsys):
     report = json.loads(captured.out)
     assert report["patterns"]["c3"]["per_graph"] == [1] * 6
     assert captured.out.endswith("\n")
+
+
+def test_eval_with_isolated_nodes_finishes(tmp_path):
+    # one edge among ten isolated nodes: novelty's canonical form must not
+    # enumerate every ordering of the isolated nodes
+    train = tmp_path / "train.jsonl"
+    gen = tmp_path / "gen.jsonl"
+    train.write_text('{"n": 12, "edges": [[1, 2], [2, 3]]}\n')
+    gen.write_text('{"n": 12, "edges": [[1, 2]]}\n')
+    out = tmp_path / "eval.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "motifdiff", "eval", "--train", str(train),
+         "--gen", str(gen), "--patterns", "c3", "--threads", "1",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=src_env())
+    assert done.returncode == 0, done.stderr
+    assert json.loads(out.read_text())["novelty"] == 1.0

@@ -1,17 +1,18 @@
-"""Graph type, canonical labeling, isomorphism, automorphism counting."""
+"""Graph type, canonical labeling, automorphism counting."""
 
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from motifdiff.errors import CapacityError, InputError
-from motifdiff.graphs import (Dataset, Graph, Pattern, are_isomorphic,
-                              automorphism_count, canonical_form,
-                              graph_from_edge_list, is_connected,
+from motifdiff.graphs import (Dataset, Graph, Pattern, automorphism_count,
+                              canonical_form, graph_from_edge_list, is_connected,
                               marked_canonical_form, permute_graph)
 
-from conftest import complete_graph, make_random_graph
+from conftest import complete_graph, make_random_graph, src_env
 
 
 # Same degree sequence {3,2,2,1,1,1}, different branch profiles at the
@@ -134,7 +135,6 @@ def test_canonical_form_is_relabeling_invariant():
         perm = list(rng.permutation(n))
         h = permute_graph(g, perm)
         assert canonical_form(g) == canonical_form(h)
-        assert are_isomorphic(g, h)
 
 
 def test_canonical_form_separates_same_degree_pairs():
@@ -143,11 +143,9 @@ def test_canonical_form_separates_same_degree_pairs():
     c6 = cycle(6)
     assert sorted(c6.degrees) == sorted(two_triangles.degrees)
     assert canonical_form(c6) != canonical_form(two_triangles)
-    assert not are_isomorphic(c6, two_triangles)
 
     assert sorted(TWIN_A.degrees) == sorted(TWIN_B.degrees)
     assert canonical_form(TWIN_A) != canonical_form(TWIN_B)
-    assert not are_isomorphic(TWIN_A, TWIN_B)
 
 
 def test_canonical_form_uniform_guard():
@@ -193,3 +191,14 @@ def test_automorphism_count_matches_brute_force():
 def test_automorphism_cap():
     with pytest.raises(CapacityError):
         automorphism_count(Graph(np.zeros((13, 13), dtype=np.uint8)))
+
+
+def test_canonical_form_of_large_sparse_host_returns():
+    # one edge among 998 isolated nodes: a search that branches on every
+    # isolated node never ends, and a recursive one overflows the stack
+    code = ("from motifdiff.graphs import Graph, canonical_form\n"
+            "print(canonical_form(Graph.from_edges(1000, [(0, 1)]))[:9].decode())\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=src_env())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1000;1;00"
