@@ -10,7 +10,9 @@ posterior-mean, no learned network anywhere.
 
 The same score has a truncated-series form organized around inner-product
 powers. Both are implemented on a shared template table: the deduplicated
-permuted-adjacency rows with multiplicities. ``verify_basis_expansion``
+permuted-adjacency rows with multiplicities, deduplicated as bit-packed
+byte keys whose byte order is the rows' lexicographic order, so the table
+is the one ``np.unique(rows, axis=0)`` would give. ``verify_basis_expansion``
 checks the algebraic identity behind the series form, term by term, against
 the graph-polynomial module.
 
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (CapacityError, InputError, NumericalRegimeError,
                      SeriesDivergenceError)
@@ -40,6 +41,17 @@ from .polynomials import (IndexTuple, first_occurrence_relabel, monomial_graph,
 BETA_FLOOR = 1e-6
 
 EXHAUSTIVE_PERM_CAP = 8
+
+# Largest single array the oracle build may allocate, in bytes.
+ORACLE_BYTES_CAP = 2**30
+
+
+def _check_oracle_bytes(nbytes: int, what: str) -> None:
+    if nbytes > ORACLE_BYTES_CAP:
+        raise CapacityError(
+            f"score oracle: {what} would take {nbytes} bytes, over the"
+            f" {ORACLE_BYTES_CAP}-byte cap; use fewer graphs, nodes or"
+            f" --mc-samples")
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +187,13 @@ class ScoreOracle:
     """Exact score and log-density for one node count and training set.
 
     Precomputes the deduplicated table of permuted training adjacencies
-    (upper-triangle rows with multiplicities). Everything else is a small
-    amount of arithmetic per query against that table.
+    (upper-triangle rows with multiplicities, in lexicographic row order).
+    Each graph's permuted 0/1 rows are packed big-endian into ceil(E/8)-byte
+    keys; one ``np.unique`` over the keys, viewed as single ``np.void``
+    values, gives the templates and their counts, unpacked back to rows.
+    The per-graph gather, the keys and the float64 table are each held
+    under ``ORACLE_BYTES_CAP`` (``CapacityError`` past it). Everything else
+    is a small amount of arithmetic per query against that table.
     """
 
     def __init__(self, dataset: Dataset, n: int, cfg: ScoreConfig | None = None,
@@ -198,6 +215,9 @@ class ScoreOracle:
                 f"exhaustive symmetrization is capped at n={EXHAUSTIVE_PERM_CAP},"
                 f" got n={n}")
         self.policy = policy
+        num_perms = factorial(n) if policy == "exhaustive" else self.cfg.mc_samples
+        # intp permutations plus one graph's uint8 gather of permuted adjacencies
+        _check_oracle_bytes(num_perms * n * (8 + n), "the permutations and gather")
         if policy == "exhaustive":
             perms = np.array(list(itertools.permutations(range(n))),
                              dtype=np.intp).reshape(-1, n)
@@ -206,17 +226,27 @@ class ScoreOracle:
             perms = np.array([rng.permutation(n) for _ in range(self.cfg.mc_samples)],
                              dtype=np.intp)
         iu, ju = np.triu_indices(n, 1)
-        rows = np.concatenate(
-            [g.adj[perms[:, :, None], perms[:, None, :]][:, iu, ju] for g in graphs],
-            axis=0)
-        templates, counts = np.unique(rows, axis=0, return_counts=True)
+        slots = int(iu.size)
+        packed = -(-slots // 8)
+        width = max(1, packed)  # n=1 still needs a key: a 0-byte void is invalid
+        total = len(graphs) * num_perms
+        _check_oracle_bytes(total * width, "the row keys")
+        keys = np.zeros((total, width), dtype=np.uint8)
+        for i, g in enumerate(graphs):
+            rows = g.adj[perms[:, :, None], perms[:, None, :]][:, iu, ju]
+            keys[i * num_perms:(i + 1) * num_perms, :packed] = np.packbits(rows, axis=1)
+        # big-endian packing makes the keys' byte order the rows' order
+        uniq, counts = np.unique(keys.view(f"V{width}").ravel(), return_counts=True)
+        _check_oracle_bytes(uniq.size * slots * 8, "the template table")
+        templates = np.unpackbits(uniq.view(np.uint8).reshape(-1, width), axis=1,
+                                  count=slots)
         self._V = templates.astype(np.float64)
         self._logmult = np.log(counts.astype(np.float64))
         self._ssq = np.einsum("ve,ve->v", self._V, self._V, optimize=False)
         self._ssq_min = float(self._ssq.min())
-        self._log_total = math.log(rows.shape[0])
+        self._log_total = math.log(total)
         self.num_templates = int(templates.shape[0])
-        self.num_edge_slots = int(iu.size)
+        self.num_edge_slots = slots
 
     # -- upper-triangle-vector core --------------------------------------
 
@@ -232,6 +262,9 @@ class ScoreOracle:
         return self._logmult + (alpha * ip - 0.5 * alpha * alpha * self._ssq) / (beta * beta)
 
     def _log_density_upper(self, w: np.ndarray, t: float) -> float:
+        # imported here: scipy is slow to import and only density queries use it
+        from scipy.special import logsumexp
+
         alpha, beta = self._alpha_beta(t)
         logits = self._logits(w, alpha, beta)
         wsq = float(np.einsum("e,e->", w, w, optimize=False))

@@ -127,7 +127,10 @@ TRAJECTORY_LINE = {
 
 
 def validate_output(obj, schema) -> None:
-    try:
-        jsonschema.validate(instance=obj, schema=schema)
-    except jsonschema.ValidationError as exc:
-        raise ContractError(f"output failed its schema: {exc.message}") from None
+    # jsonschema.validate would also re-check the schema against its
+    # metaschema on every call, the bulk of its cost; the schemas here are
+    # constants whose validity the test suite checks once.
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(obj))
+    if error is not None:
+        raise ContractError(f"output failed its schema: {error.message}")

@@ -249,3 +249,40 @@ def test_eval_with_isolated_nodes_finishes(tmp_path):
         capture_output=True, text=True, timeout=60, env=src_env())
     assert done.returncode == 0, done.stderr
     assert json.loads(out.read_text())["novelty"] == 1.0
+
+
+def test_sample_over_oracle_byte_cap_exits_2(tmp_path):
+    # a 400-node graph under the default 10,000 Monte Carlo permutations
+    # would gather 1.6 GB of permuted adjacencies; it must be refused
+    train = tmp_path / "big.jsonl"
+    edges = [[v, v + 1] for v in range(1, 400)]
+    train.write_text(json.dumps({"n": 400, "edges": edges}) + "\n")
+    out = tmp_path / "gen.jsonl"
+    done = subprocess.run(
+        [sys.executable, "-m", "motifdiff", "sample", "--train", str(train),
+         "--num-samples", "1", "--steps", "10", "--threads", "1",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env=src_env())
+    assert done.returncode == 2, done.stderr
+    assert "byte cap" in done.stderr
+    assert not out.exists()
+
+
+def test_sample_bytes_independent_of_blas_threads(tmp_path):
+    train = tmp_path / "train.jsonl"
+    assert run(["gen-data", "--pattern", "c4", "--n", "6", "--count", "4",
+                "--seed", "3", "--out", str(train)]) == 0
+    outs = []
+    for blas in ("1", "2"):
+        out = tmp_path / f"gen_{blas}.jsonl"
+        traj = tmp_path / f"traj_{blas}.jsonl"
+        env = src_env()
+        env["OPENBLAS_NUM_THREADS"] = blas
+        done = subprocess.run(
+            [sys.executable, "-m", "motifdiff", "sample", "--train", str(train),
+             "--num-samples", "3", "--steps", "40", "--seed", "9",
+             "--threads", "1", "--trajectories", str(traj), "--out", str(out)],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 0, done.stderr
+        outs.append((out.read_bytes(), traj.read_bytes()))
+    assert outs[0] == outs[1]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from motifdiff import diffusion
 from motifdiff.diffusion import (NoiseSchedule, ScoreConfig, ScoreOracle,
                                  permute_matrix, perturb, quantize,
                                  random_symmetric, symmetric_from_upper,
@@ -123,6 +124,87 @@ def test_oracle_template_table():
     oracle = ScoreOracle(p3, 3, cfg=EXH)
     # a path on 3 nodes has 3 labeled images, each hit twice
     assert oracle.num_templates == 3
+
+
+def reference_table(graphs, n, cfg):
+    """The template table by its definition: np.unique over the unpacked
+    permuted rows, lexicographic row order."""
+    if cfg.perm_policy == "exhaustive":
+        perms = np.array(list(itertools.permutations(range(n))),
+                         dtype=np.intp).reshape(-1, n)
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        perms = np.array([rng.permutation(n) for _ in range(cfg.mc_samples)],
+                         dtype=np.intp)
+    iu, ju = np.triu_indices(n, 1)
+    rows = np.concatenate(
+        [g.adj[perms[:, :, None], perms[:, None, :]][:, iu, ju] for g in graphs])
+    templates, counts = np.unique(rows, axis=0, return_counts=True)
+    V = templates.astype(np.float64)
+    return (V, np.log(counts.astype(np.float64)),
+            np.einsum("ve,ve->v", V, V, optimize=False),
+            math.log(rows.shape[0]), templates.shape[0])
+
+
+def star_graph(n):
+    return Graph.from_edges(n, [(0, v) for v in range(1, n)])
+
+
+def table_cases():
+    rng = np.random.default_rng(17)
+    for n in range(1, 8):
+        a, b = make_random_graph(n, 0.5, rng), make_random_graph(n, 0.3, rng)
+        relabeled = Graph(permute_matrix(a.adj, rng.permutation(n)))
+        empty = Graph(np.zeros((n, n), dtype=np.uint8))
+        # repeated, isomorphic, empty, complete and star members
+        yield pytest.param(
+            n, (a, b, a, relabeled, empty, complete_graph(n), star_graph(n)),
+            EXH, id=f"exhaustive-n{n}")
+    for n in (9, 12):  # 36 and 66 edge slots: 5- and 9-byte keys
+        graphs = tuple(make_random_graph(n, 0.4, rng) for _ in range(3))
+        cfg = ScoreConfig(perm_policy="monte_carlo", mc_samples=3000, seed=n)
+        yield pytest.param(n, graphs + (star_graph(n), graphs[0]), cfg,
+                           id=f"monte-carlo-n{n}")
+
+
+@pytest.mark.parametrize("n,graphs,cfg", list(table_cases()))
+def test_oracle_table_matches_row_unique(n, graphs, cfg):
+    oracle = ScoreOracle(Dataset(graphs=graphs), n, cfg=cfg)
+    V, logmult, ssq, log_total, num = reference_table(graphs, n, cfg)
+    assert oracle.num_templates == num
+    assert oracle._V.shape == V.shape
+    assert np.array_equal(oracle._V, V)
+    assert np.array_equal(oracle._logmult, logmult)
+    assert np.array_equal(oracle._ssq, ssq)
+    assert oracle._log_total == log_total
+    if n == 1:
+        assert V.shape == (1, 0) and oracle._logmult[0] == math.log(len(graphs))
+
+
+def test_oracle_byte_cap(monkeypatch):
+    paths = Dataset(graphs=(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+                            Graph.from_edges(4, [(0, 1), (1, 2)]),
+                            Graph.from_edges(4, [(0, 1)])))
+    # 24 permutations x 4 x (8 + 4) bytes of permutations and gather and
+    # 3 x 24 one-byte keys pass; 12 + 12 + 6 templates x 6 slots x 8 bytes
+    # of float64 table do not
+    monkeypatch.setattr(diffusion, "ORACLE_BYTES_CAP", 1439)
+    with pytest.raises(CapacityError, match="template table"):
+        ScoreOracle(paths, 4, cfg=EXH)
+    monkeypatch.setattr(diffusion, "ORACLE_BYTES_CAP", 1440)
+    assert ScoreOracle(paths, 4, cfg=EXH).num_templates == 30
+    # 61 graphs x 24 one-byte keys do not
+    with pytest.raises(CapacityError, match="row keys"):
+        ScoreOracle(Dataset(graphs=paths.graphs[:1] * 61), 4, cfg=EXH)
+    monkeypatch.setattr(diffusion, "ORACLE_BYTES_CAP", 1151)
+    with pytest.raises(CapacityError, match="gather"):
+        ScoreOracle(paths, 4, cfg=EXH)
+    # 5e7 x 16 gather bytes fit, but not with the 5e7 x 4 x 8 bytes of
+    # permutations beside them
+    monkeypatch.setattr(diffusion, "ORACLE_BYTES_CAP", 2**30)
+    many = ScoreConfig(perm_policy="monte_carlo", mc_samples=5 * 10**7)
+    with pytest.raises(CapacityError, match="gather"):
+        ScoreOracle(paths, 4, cfg=many)
 
 
 def test_oracle_input_errors():
