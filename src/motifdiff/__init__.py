@@ -12,8 +12,8 @@ from .errors import (CapacityError, ContractError, GenerationError,
                      SeriesDivergenceError)
 from .evaluation import EvalReport, evaluate, novelty_ratio, tv_distance
 from .graphs import (Dataset, Graph, Pattern, automorphism_count,
-                     canonical_form, graph_from_edge_list, is_connected,
-                     marked_canonical_form, permute_graph)
+                     canonical_form, graph_from_edge_list,
+                     marked_canonical_form)
 from .patterns import (PATTERN_LIBRARY, PATTERN_NAMES, derive_marked_patterns,
                        get_pattern, resolve_patterns)
 from .polynomials import (IndexTuple, MonomialGraph, equivariant_basis,
@@ -33,9 +33,9 @@ __all__ = [
     "canonical_form", "count_injective_homs", "count_rooted",
     "count_subgraphs", "count_table", "derive_marked_patterns",
     "equivariant_basis", "evaluate", "get_pattern", "graph_from_edge_list",
-    "invariant_basis", "invariant_monomial_sum", "is_connected",
+    "invariant_basis", "invariant_monomial_sum",
     "marked_canonical_form", "monomial_graph", "monomial_sum",
-    "naive_count_oracle", "novelty_ratio", "permute_graph",
+    "naive_count_oracle", "novelty_ratio",
     "perturb", "pinned_monomial_matrix", "plant_pattern_dataset", "quantize",
     "read_dataset", "resolve_patterns", "tv_distance",
     "verify_basis_expansion", "write_dataset",

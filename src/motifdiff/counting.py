@@ -7,8 +7,19 @@ constraint, so a triangle is counted inside a complete graph as many times
 as there are node triples.
 
 The matcher is a backtracking search over host nodes with bitmask candidate
-intersection. Patterns are tiny (at most 12 nodes) and hosts are desk scale,
-so this is exact and fast without any isomorphism-counting shortcuts.
+intersection. Patterns are tiny (at most 12 nodes) and hosts are desk scale.
+Subgraph counting first compiles the pattern once into a plan: |Aut|, the
+matcher's node order and symmetry-breaking constraints host(v) < host(u)
+(after Grochow & Kellis, "Network motif discovery using subgraph
+enumeration and symmetry-breaking", RECOMB 2007). The constraints come from
+a chain of color refinements, each with one more node of the order
+individualized; the cell of the next node stands in for its orbit. A cell
+contains the orbit, so the product of the cell sizes is at least |Aut|, and
+it equals |Aut| exactly when every cell is an orbit. Only then is the chain
+certified: the constrained search meets each subgraph once, and the count
+needs no division. Otherwise (regular patterns refinement cannot split, such
+as C3 plus a disjoint C4) the plan has no constraints and the map count is
+divided by |Aut|. The injective map counts stay unconstrained.
 
 ``naive_count_oracle`` recounts by brute force over all injective node
 assignments: the exact integer monomial sum of the pattern's edges over the
@@ -25,7 +36,8 @@ from functools import partial
 from typing import Mapping, Sequence
 
 from .errors import CapacityError, ContractError, InputError
-from .graphs import Graph, Pattern, automorphism_count
+from .graphs import (Graph, Pattern, _individualize, _refine_colors,
+                     automorphism_count)
 from .parallel import ordered_map
 from .polynomials import monomial_sum
 
@@ -63,9 +75,54 @@ def _embedding_order(p: Pattern, pinned: tuple[int, ...]) -> tuple[list[int], li
     return order, prev_positions
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """A pattern compiled for subgraph counting.
+
+    `order` and `prev_positions` are the matcher's walk (`_embedding_order`
+    with no pins); `smaller_positions[i]` lists the earlier positions whose
+    host node must be smaller than the host of `order[i]`. `divisor` is 1
+    when those constraints are certified and |Aut| when there are none.
+    """
+
+    pattern: Pattern
+    order: tuple[int, ...]
+    prev_positions: tuple[tuple[int, ...], ...]
+    smaller_positions: tuple[tuple[int, ...], ...]
+    divisor: int
+
+
+def _compile(p: Pattern) -> _Plan:
+    """Plan for counting `p`: |Aut|, the matcher's order, and the
+    symmetry-breaking constraints if the refinement chain certifies them."""
+    g = p.graph
+    aut = automorphism_count(g)
+    order, prev_positions = _embedding_order(p, ())
+    position = {v: i for i, v in enumerate(order)}
+    smaller: list[list[int]] = [[] for _ in order]
+    colors = _refine_colors(g.n, g.neighbor_lists, [0] * g.n)
+    product = 1
+    for i, v in enumerate(order):
+        if len(set(colors)) == g.n:
+            break
+        # earlier nodes are individualized, so the rest of the cell is later
+        cell = [u for u in range(g.n) if colors[u] == colors[v]]
+        product *= len(cell)
+        for u in cell:
+            if u != v:
+                smaller[position[u]].append(i)
+        colors = _refine_colors(g.n, g.neighbor_lists, _individualize(colors, v))
+    order, prev_positions = tuple(order), tuple(map(tuple, prev_positions))
+    if product != aut:
+        return _Plan(p, order, prev_positions, ((),) * len(order), aut)
+    return _Plan(p, order, prev_positions, tuple(map(tuple, smaller)), 1)
+
+
 def _count_embeddings(g: Graph, p: Pattern,
-                      pins: Mapping[int, int] | None = None) -> int:
-    """Number of injective edge-preserving maps pattern -> host extending pins."""
+                      pins: Mapping[int, int] | None = None,
+                      plan: _Plan | None = None) -> int:
+    """Number of injective edge-preserving maps pattern -> host extending
+    pins; with a plan (and no pins), only those meeting its constraints."""
     k = p.graph.n
     pins = dict(pins or {})
     for pv, hv in pins.items():
@@ -84,8 +141,13 @@ def _count_embeddings(g: Graph, p: Pattern,
         return 0
     if k == len(pins):
         return 1
-    pinned_nodes = tuple(pv for pv, _ in pin_items)
-    order, prev_positions = _embedding_order(p, pinned_nodes)
+    if plan is None:
+        order, prev_positions = _embedding_order(
+            p, tuple(pv for pv, _ in pin_items))
+        smaller_positions = [()] * len(order)
+    else:
+        order, prev_positions = plan.order, plan.prev_positions
+        smaller_positions = plan.smaller_positions
     pdeg = p.graph.degrees
     gdeg = g.degrees
     masks = g.neighbor_masks
@@ -94,8 +156,8 @@ def _count_embeddings(g: Graph, p: Pattern,
     used0 = 0
     for hv in full_hosts:
         used0 |= 1 << hv
-    total = 0
     depth = len(order)
+    base = len(pin_items)
     hosts = full_hosts + [0] * depth
 
     def dfs(i: int, used: int) -> int:
@@ -103,9 +165,10 @@ def _count_embeddings(g: Graph, p: Pattern,
         cand = all_mask & ~used
         for pos in prev_positions[i]:
             cand &= masks[hosts[pos]]
+        for pos in smaller_positions[i]:
+            cand &= ~((2 << hosts[pos]) - 1)
         need = pdeg[v]
         count = 0
-        base = len(pin_items)
         while cand:
             low = cand & -cand
             cand ^= low
@@ -119,8 +182,7 @@ def _count_embeddings(g: Graph, p: Pattern,
                 count += dfs(i + 1, used | low)
         return count
 
-    total = dfs(0, used0)
-    return total
+    return dfs(0, used0)
 
 
 def count_injective_homs(g: Graph, p: Pattern) -> int:
@@ -128,14 +190,20 @@ def count_injective_homs(g: Graph, p: Pattern) -> int:
     return _count_embeddings(g, p)
 
 
-def count_subgraphs(g: Graph, p: Pattern) -> int:
-    """Non-induced subgraph count: injective maps over |Aut(pattern)|."""
-    homs = _count_embeddings(g, p)
-    aut = automorphism_count(p.graph)
-    if homs % aut:
+def count_subgraphs(g: Graph, p: Pattern, plan: _Plan | None = None) -> int:
+    """Non-induced subgraph count: injective maps over |Aut(pattern)|.
+
+    `plan` is `p` compiled by `_compile`; a caller counting one pattern in
+    many hosts passes it so the pattern is compiled once. Without one, the
+    pattern is compiled here.
+    """
+    if plan is None:
+        plan = _compile(p)
+    found = _count_embeddings(g, p, plan=plan)
+    if found % plan.divisor:
         raise ContractError(
-            f"injective map count {homs} not divisible by |Aut| = {aut}")
-    return homs // aut
+            f"injective map count {found} not divisible by |Aut| = {plan.divisor}")
+    return found // plan.divisor
 
 
 def count_rooted(g: Graph, i: int, j: int, p: Pattern) -> int:
@@ -213,19 +281,21 @@ class CountDistribution:
         return out
 
 
-def _graph_counts(g: Graph, patterns: tuple[Pattern, ...]) -> tuple[int, ...]:
-    return tuple(count_subgraphs(g, p) for p in patterns)
+def _graph_counts(g: Graph, plans: tuple[_Plan, ...]) -> tuple[int, ...]:
+    return tuple(count_subgraphs(g, plan.pattern, plan) for plan in plans)
 
 
 def count_table(graphs: Sequence[Graph], patterns: Sequence[Pattern],
                 threads: int = 1) -> list[list[int]]:
     """Subgraph counts of every pattern in every graph, in one worker pool.
 
+    Each pattern is compiled once, here, and the plans go to the workers.
     Returns one column per pattern (in pattern order) holding the per-graph
     counts (in graph order).
     """
     if not graphs:
         raise InputError("no graphs to count")
-    rows = ordered_map(partial(_graph_counts, patterns=tuple(patterns)),
-                       graphs, threads=threads)
+    plans = tuple(_compile(p) for p in patterns)
+    rows = ordered_map(partial(_graph_counts, plans=plans), graphs,
+                       threads=threads)
     return [list(column) for column in zip(*rows)]

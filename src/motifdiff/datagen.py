@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .counting import count_subgraphs
+from .counting import _compile, count_subgraphs
 from .errors import GenerationError, InputError
 from .graphs import Dataset, Graph, Pattern
 
@@ -60,19 +60,23 @@ def plant_pattern_dataset(pattern: Pattern, n: int, count: int,
         raise InputError(f"unknown decoration {decoration!r}")
     if max_retries < 1:
         raise InputError("max_retries must be at least 1")
-    targets = [(q, count_subgraphs(pattern.graph, q)) for q in monitors]
+    plan = _compile(pattern)
+    targets = []
+    for q in monitors:
+        q_plan = _compile(q)
+        targets.append((q, q_plan, count_subgraphs(pattern.graph, q, q_plan)))
     graphs = []
     for idx in range(count):
         rng = np.random.default_rng([seed, idx])
         last_failure = "no attempt"
         for _ in range(max_retries):
             g = _place_and_decorate(pattern, n, decoration, rng)
-            got = count_subgraphs(g, pattern)
+            got = count_subgraphs(g, pattern, plan)
             if got != 1:
                 last_failure = f"{pattern.name or 'pattern'} count {got} != 1"
                 continue
-            for q, want in targets:
-                got_q = count_subgraphs(g, q)
+            for q, q_plan, want in targets:
+                got_q = count_subgraphs(g, q, q_plan)
                 if got_q != want:
                     last_failure = (f"monitor {q.name or 'pattern'} count"
                                     f" {got_q} != {want}")

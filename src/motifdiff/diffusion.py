@@ -45,6 +45,10 @@ EXHAUSTIVE_PERM_CAP = 8
 # Largest single array the oracle build may allocate, in bytes.
 ORACLE_BYTES_CAP = 2**30
 
+# Monte Carlo permutations are drawn one generator call each (about 4 s per
+# million); drawing them in one call would change the stream.
+MC_SAMPLES_CAP = 10**6
+
 
 def _check_oracle_bytes(nbytes: int, what: str) -> None:
     if nbytes > ORACLE_BYTES_CAP:
@@ -192,8 +196,9 @@ class ScoreOracle:
     keys; one ``np.unique`` over the keys, viewed as single ``np.void``
     values, gives the templates and their counts, unpacked back to rows.
     The per-graph gather, the keys and the float64 table are each held
-    under ``ORACLE_BYTES_CAP`` (``CapacityError`` past it). Everything else
-    is a small amount of arithmetic per query against that table.
+    under ``ORACLE_BYTES_CAP``, and Monte Carlo draws under
+    ``MC_SAMPLES_CAP`` (``CapacityError`` past either). Everything else is a
+    small amount of arithmetic per query against that table.
     """
 
     def __init__(self, dataset: Dataset, n: int, cfg: ScoreConfig | None = None,
@@ -218,6 +223,10 @@ class ScoreOracle:
         num_perms = factorial(n) if policy == "exhaustive" else self.cfg.mc_samples
         # intp permutations plus one graph's uint8 gather of permuted adjacencies
         _check_oracle_bytes(num_perms * n * (8 + n), "the permutations and gather")
+        if policy == "monte_carlo" and num_perms > MC_SAMPLES_CAP:
+            raise CapacityError(
+                f"score oracle: {num_perms} Monte Carlo permutations are over"
+                f" the cap of {MC_SAMPLES_CAP}; use fewer --mc-samples")
         if policy == "exhaustive":
             perms = np.array(list(itertools.permutations(range(n))),
                              dtype=np.intp).reshape(-1, n)

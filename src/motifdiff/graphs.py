@@ -173,29 +173,6 @@ class Dataset:
         return tuple(sorted({g.n for g in self.graphs}))
 
 
-def permute_graph(g: Graph, perm: Sequence[int]) -> Graph:
-    """Relabeled copy: new adjacency[u][v] = old adjacency[perm[u]][perm[v]]."""
-    p = list(perm)
-    if sorted(p) != list(range(g.n)):
-        raise InputError("perm must be a permutation of 0..n-1")
-    idx = np.asarray(p, dtype=np.intp)
-    return Graph(g.adj[np.ix_(idx, idx)])
-
-
-def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        u = frontier.pop()
-        for v in g.neighbor_lists[u]:
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return len(seen) == g.n
-
-
 # ---------------------------------------------------------------------------
 # the symmetry search: canonical labeling and automorphism counting
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 
 import motifdiff
+from motifdiff.errors import InputError
 from motifdiff.graphs import Graph
 
 
@@ -20,6 +21,29 @@ def complete_graph(n):
     adj = np.ones((n, n), dtype=np.uint8)
     np.fill_diagonal(adj, 0)
     return Graph(adj)
+
+
+def permute_graph(g, perm):
+    """Relabeled copy: new adjacency[u][v] = old adjacency[perm[u]][perm[v]]."""
+    p = list(perm)
+    if sorted(p) != list(range(g.n)):
+        raise InputError("perm must be a permutation of 0..n-1")
+    idx = np.asarray(p, dtype=np.intp)
+    return Graph(g.adj[np.ix_(idx, idx)])
+
+
+def is_connected(g):
+    if g.n <= 1:
+        return True
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        u = frontier.pop()
+        for v in g.neighbor_lists[u]:
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return len(seen) == g.n
 
 
 def src_env():

@@ -268,6 +268,16 @@ def test_sample_over_oracle_byte_cap_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_sample_over_mc_samples_cap_exits_2(train_path, tmp_path, capsys):
+    out = tmp_path / "gen.jsonl"
+    assert run(["sample", "--train", train_path, "--num-samples", "1",
+                "--steps", "10", "--perm-policy", "monte_carlo",
+                "--mc-samples", "1000001", "--threads", "1",
+                "--out", str(out)]) == 2
+    assert "Monte Carlo permutations" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_bytes_independent_of_blas_threads(tmp_path):
     train = tmp_path / "train.jsonl"
     assert run(["gen-data", "--pattern", "c4", "--n", "6", "--count", "4",

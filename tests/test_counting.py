@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from motifdiff.counting import (CountDistribution, count_injective_homs,
-                                count_rooted, count_subgraphs, count_table,
+from motifdiff.counting import (CountDistribution, _compile,
+                                count_injective_homs, count_rooted,
+                                count_subgraphs, count_table,
                                 naive_count_oracle)
 from motifdiff.errors import CapacityError, ContractError, InputError
 from motifdiff.graphs import Dataset, Graph, Pattern
@@ -57,6 +58,31 @@ def test_matcher_matches_oracle_on_random_graphs():
         g = make_random_graph(n, float(rng.choice([0.2, 0.5])), rng)
         for p in patterns:
             assert count_subgraphs(g, p) == naive_count_oracle(g, p)
+
+
+def test_symmetry_broken_search_finds_each_subgraph_once():
+    # K4 holds 3 four-cycles; the certified plan meets each once, where the
+    # unconstrained search meets each of the 8 maps of every copy
+    plan = _compile(get_pattern("c4"))
+    assert plan.divisor == 1
+    assert any(plan.smaller_positions)
+    assert count_subgraphs(complete_graph(4), get_pattern("c4"), plan) == 3
+    assert count_injective_homs(complete_graph(4), get_pattern("c4")) == 24
+
+
+def test_uncertified_chain_falls_back_to_division():
+    # C3 plus a disjoint C4 is regular, so refinement cannot tell the two
+    # cycles' nodes apart: the chain is not certified, the plan carries no
+    # constraints and the map count is divided by |Aut| = 6 * 8
+    p = Pattern(Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5),
+                                     (5, 6), (6, 3)]))
+    plan = _compile(p)
+    assert plan.divisor == 48
+    assert not any(plan.smaller_positions)
+    # in K8: choose the triangle's 3 nodes, then 3 four-cycles on 4 of the
+    # remaining 5 nodes
+    assert count_subgraphs(complete_graph(8), p) == 56 * 5 * 3
+    assert count_subgraphs(cycle(7), p) == 0
 
 
 def test_oracle_cap():

@@ -1,0 +1,110 @@
+"""networkx as a third witness for subgraph counts: monomorphisms listed by
+GraphMatcher, divided by the automorphisms it lists, against `count_table`
+and `count_subgraphs`. The pattern set covers the symmetry-broken search on
+large groups (stars, disjoint copies, vertex-transitive graphs) and its
+fallback (C3 plus a disjoint C4, whose chain refinement cannot certify)."""
+
+import numpy as np
+import pytest
+
+from motifdiff.counting import _compile, count_subgraphs, count_table
+from motifdiff.graphs import Graph, Pattern
+from motifdiff.patterns import PATTERN_LIBRARY
+
+from conftest import make_random_graph
+
+nx = pytest.importorskip("networkx")
+from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
+
+
+def to_nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edge_list)
+    return h
+
+
+def from_nx(h):
+    index = {v: i for i, v in enumerate(sorted(h.nodes))}
+    return Graph.from_edges(len(index), [(index[u], index[v]) for u, v in h.edges])
+
+
+def nx_subgraph_count(host, pattern):
+    h, p = to_nx(host), to_nx(pattern.graph)
+    aut = sum(1 for _ in GraphMatcher(p, p).isomorphisms_iter())
+    maps = sum(1 for _ in GraphMatcher(h, p).subgraph_monomorphisms_iter())
+    assert maps % aut == 0
+    return maps // aut
+
+
+EXTRA = {
+    "star_K1_5": nx.star_graph(5),
+    "3K2": nx.disjoint_union_all([nx.path_graph(2)] * 3),
+    "2K3": nx.disjoint_union_all([nx.cycle_graph(3)] * 2),
+    "prism": nx.circular_ladder_graph(3),
+    "K3_3": nx.complete_bipartite_graph(3, 3),
+    "cube": nx.hypercube_graph(3),
+    "petersen": nx.petersen_graph(),
+    "empty_4": nx.empty_graph(4),
+    "C3_C4": nx.disjoint_union(nx.cycle_graph(3), nx.cycle_graph(4)),
+}
+PATTERNS = list(PATTERN_LIBRARY.values()) + [
+    Pattern(from_nx(h), name=name) for name, h in EXTRA.items()]
+NAMES = [p.name for p in PATTERNS]
+
+
+def with_random_edges(h, extra, rng):
+    adj = from_nx(h).adj.copy()
+    free = np.argwhere(np.triu(1 - adj, 1))
+    for a, b in free[rng.choice(len(free), extra, replace=False)]:
+        adj[a, b] = adj[b, a] = 1
+    return Graph(adj)
+
+
+@pytest.fixture(scope="module")
+def hosts():
+    rng = np.random.default_rng(2718)
+    # sizes and densities keep networkx's listing of every map to seconds;
+    # the last three hosts hold the largest patterns, plus a few edges
+    random_hosts = [make_random_graph(n, prob, rng)
+                    for n, prob in ((4, 0.6), (6, 0.5), (7, 0.3), (8, 0.45),
+                                    (9, 0.3), (10, 0.4), (10, 0.25))]
+    return random_hosts + [
+        with_random_edges(EXTRA["petersen"], 4, rng),
+        with_random_edges(nx.disjoint_union(EXTRA["cube"], nx.empty_graph(2)),
+                          5, rng),
+        with_random_edges(nx.disjoint_union(EXTRA["K3_3"], nx.empty_graph(1)),
+                          2, rng)]
+
+
+@pytest.fixture(scope="module")
+def reference(hosts):
+    return [[nx_subgraph_count(g, p) for g in hosts] for p in PATTERNS]
+
+
+def test_hosts_hold_the_largest_patterns(hosts, reference):
+    # a witness that only ever agrees on 0 shows nothing
+    for name in ("petersen", "cube", "K3_3", "c8", "c6c6", "C3_C4"):
+        assert any(reference[NAMES.index(name)]), name
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_count_table_matches_networkx(hosts, reference, threads):
+    assert count_table(hosts, PATTERNS, threads=threads) == reference
+
+
+def test_count_subgraphs_matches_networkx(hosts, reference):
+    for p, expected in zip(PATTERNS, reference):
+        assert [count_subgraphs(g, p) for g in hosts] == expected, p.name
+
+
+def test_library_chains_are_certified():
+    # every library pattern takes the constrained path, so eval counts each
+    # subgraph once; so do the extra patterns apart from C3 plus C4
+    for p in PATTERNS:
+        plan = _compile(p)
+        if p.name == "C3_C4":
+            assert plan.divisor == 48
+            assert not any(plan.smaller_positions)
+        else:
+            assert plan.divisor == 1, p.name

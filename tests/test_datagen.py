@@ -5,8 +5,10 @@ import pytest
 from motifdiff.counting import count_subgraphs
 from motifdiff.datagen import plant_pattern_dataset
 from motifdiff.errors import GenerationError, InputError
-from motifdiff.graphs import Graph, Pattern, canonical_form, is_connected
+from motifdiff.graphs import Graph, Pattern, canonical_form
 from motifdiff.patterns import get_pattern
+
+from conftest import is_connected
 
 
 def test_planted_counts_are_verified():

@@ -207,6 +207,31 @@ def test_oracle_byte_cap(monkeypatch):
         ScoreOracle(paths, 4, cfg=many)
 
 
+def test_oracle_mc_samples_cap(monkeypatch):
+    paths = Dataset(graphs=(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),))
+    assert diffusion.MC_SAMPLES_CAP == 10**6
+    with monkeypatch.context() as m:
+        # the boundary, at a small cap: at it the build runs, one past it not
+        m.setattr(diffusion, "MC_SAMPLES_CAP", 5)
+        at_cap = ScoreConfig(perm_policy="monte_carlo", mc_samples=5)
+        assert ScoreOracle(paths, 4, cfg=at_cap).num_templates >= 1
+        with pytest.raises(CapacityError, match="Monte Carlo"):
+            ScoreOracle(paths, 4, cfg=ScoreConfig(perm_policy="monte_carlo",
+                                                  mc_samples=6))
+
+    # past the shipped cap the build is refused before any permutation is
+    # drawn; the exhaustive policy never reads mc_samples
+    def no_draws(*args, **kwargs):
+        raise AssertionError("permutations drawn past the cap")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    over = ScoreConfig(perm_policy="monte_carlo", mc_samples=10**6 + 1)
+    with pytest.raises(CapacityError, match="Monte Carlo"):
+        ScoreOracle(paths, 4, cfg=over)
+    exhaustive = ScoreConfig(perm_policy="exhaustive", mc_samples=10**6 + 1)
+    assert ScoreOracle(paths, 4, cfg=exhaustive).num_templates == 12
+
+
 def test_oracle_input_errors():
     ds = small_dataset(4, 2, 0)
     with pytest.raises(InputError):

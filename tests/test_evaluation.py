@@ -8,10 +8,10 @@ from motifdiff.counting import CountDistribution
 from motifdiff.errors import ContractError, InputError
 from motifdiff.evaluation import (EvalReport, PatternEval, evaluate,
                                   novelty_ratio, tv_distance)
-from motifdiff.graphs import Dataset, Graph, Pattern, permute_graph
+from motifdiff.graphs import Dataset, Graph, Pattern
 from motifdiff.patterns import get_pattern
 
-from conftest import complete_graph
+from conftest import complete_graph, permute_graph
 
 # same degree sequence, not isomorphic (see test_graphs)
 TWIN_A = Graph.from_edges(6, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)])

@@ -9,10 +9,11 @@ import pytest
 
 from motifdiff.errors import CapacityError, InputError
 from motifdiff.graphs import (Dataset, Graph, Pattern, automorphism_count,
-                              canonical_form, graph_from_edge_list, is_connected,
-                              marked_canonical_form, permute_graph)
+                              canonical_form, graph_from_edge_list,
+                              marked_canonical_form)
 
-from conftest import complete_graph, make_random_graph, src_env
+from conftest import (complete_graph, is_connected, make_random_graph,
+                      permute_graph, src_env)
 
 
 # Same degree sequence {3,2,2,1,1,1}, different branch profiles at the

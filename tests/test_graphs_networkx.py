@@ -6,10 +6,9 @@ import itertools
 import numpy as np
 import pytest
 
-from motifdiff.graphs import (Graph, automorphism_count, canonical_form,
-                              permute_graph)
+from motifdiff.graphs import Graph, automorphism_count, canonical_form
 
-from conftest import make_random_graph
+from conftest import make_random_graph, permute_graph
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
