@@ -21,7 +21,7 @@ from .datagen import plant_pattern_dataset
 from .diffusion import NoiseSchedule, ScoreConfig, ScoreOracle
 from .errors import InputError, MotifdiffError
 from .evaluation import evaluate
-from .graphs import Dataset, Graph
+from .graphs import Dataset
 from .parallel import ordered_map
 from .patterns import PATTERN_NAMES, get_pattern, resolve_patterns
 from .schemas import (COUNT_REPORT, EVAL_REPORT, SUITE_REPORT,
@@ -94,21 +94,13 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _run_sample_chunk(payload) -> list:
-    (dataset, n, cfg, sched, steps, mode, threshold, seed, indices,
-     want_traj) = payload
-    oracle = ScoreOracle(dataset, n, cfg=cfg, sched=sched)
-    out = []
-    for idx in indices:
-        rng = np.random.default_rng([seed, idx])
-        traj: list | None = [] if want_traj else None
-        g = oracle.reverse_sample(steps, score_mode=mode, rng=rng,
-                                  threshold=threshold, trajectory=traj)
-        packed = None
-        if want_traj:
-            packed = [(float(t), W.tolist()) for t, W in traj]
-        out.append((idx, g.n, g.edge_list, packed))
-    return out
+def _sample_one(oracle: ScoreOracle, args, idx: int) -> tuple:
+    """Sample `idx` of the run, from its own stream [seed, idx]."""
+    traj: list | None = [] if args.trajectories is not None else None
+    g = oracle.reverse_sample(args.steps, score_mode=args.score,
+                              rng=np.random.default_rng([args.seed, idx]),
+                              threshold=args.threshold, trajectory=traj)
+    return g, None if traj is None else [(float(t), W.tolist()) for t, W in traj]
 
 
 def cmd_sample(args) -> int:
@@ -128,19 +120,10 @@ def cmd_sample(args) -> int:
             raise InputError(
                 f"training set mixes node counts {list(sizes)}; pass --n")
         (n,) = sizes
-    indices = list(range(args.num_samples))
-    n_chunks = max(1, min(args.threads, len(indices)))
-    chunks = [indices[i::n_chunks] for i in range(n_chunks)]
-    want_traj = args.trajectories is not None
-    payloads = [(train, n, cfg, sched, args.steps, args.score,
-                 args.threshold, args.seed, tuple(chunk), want_traj)
-                for chunk in chunks if chunk]
-    results: list = []
-    pool_size = len(payloads) if args.threads > 1 else 1
-    for chunk_out in ordered_map(_run_sample_chunk, payloads, threads=pool_size):
-        results.extend(chunk_out)
-    results.sort(key=lambda item: item[0])
-    graphs = tuple(Graph.from_edges(gn, edges) for _, gn, edges, _ in results)
+    oracle = ScoreOracle(train, n, cfg=cfg, sched=sched)
+    results = ordered_map(lambda idx: _sample_one(oracle, args, idx),
+                          range(args.num_samples), threads=args.threads)
+    graphs = tuple(g for g, _ in results)
     metadata = {
         "generator": "reverse-diffusion",
         "train": str(args.train),
@@ -159,9 +142,9 @@ def cmd_sample(args) -> int:
         "threshold": str(args.threshold),
     }
     write_dataset(Dataset(graphs=graphs, metadata=metadata), args.out)
-    if want_traj:
+    if args.trajectories is not None:
         with open(args.trajectories, "w", encoding="utf-8") as fh:
-            for idx, _, _, packed in results:
+            for idx, (_, packed) in enumerate(results):
                 for t, W in packed:
                     line = {"sample": idx, "t": t, "W": W}
                     validate_output(line, TRAJECTORY_LINE)

@@ -7,8 +7,6 @@ therefore raise ContractError.
 
 from __future__ import annotations
 
-import jsonschema
-
 from .errors import ContractError
 
 _COUNT_KEY = "^(0|[1-9][0-9]*)$"
@@ -127,6 +125,7 @@ TRAJECTORY_LINE = {
 
 
 def validate_output(obj, schema) -> None:
+    import jsonschema  # here, so commands that validate nothing never load it
     # jsonschema.validate would also re-check the schema against its
     # metaschema on every call, the bulk of its cost; the schemas here are
     # constants whose validity the test suite checks once.

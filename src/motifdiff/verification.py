@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .counting import count_subgraphs
+from .counting import _compile, count_subgraphs
 from .diffusion import (NoiseSchedule, ScoreConfig, ScoreOracle,
                         random_symmetric, permute_matrix,
                         verify_basis_expansion)
@@ -54,15 +54,16 @@ def run_count_identity(n_max: int = 6, trials: int = 200, seed: int = 0) -> dict
     """
     rng = np.random.default_rng(seed)
     patterns = [p for p in PATTERN_LIBRARY.values() if p.k <= 6]
+    compiled = [(p, automorphism_count(p.graph), _compile(p)) for p in patterns]
     checks = 0
     failures: list[str] = []
     for trial in range(trials):
         n = int(rng.integers(2, n_max + 1))
         g = _random_graph(n, float(rng.uniform(0.15, 0.7)), rng)
         adj = g.adj.astype(np.int64)
-        for p in patterns:
+        for p, aut, plan in compiled:
             lhs = invariant_monomial_sum(adj, p)
-            rhs = automorphism_count(p.graph) * count_subgraphs(g, p)
+            rhs = aut * count_subgraphs(g, p, plan)
             checks += 1
             if lhs != rhs:
                 failures.append(

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and output determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from motifdiff.cli import _default_threads, main
 from motifdiff.dataio import read_dataset, write_dataset
+from motifdiff.diffusion import ScoreOracle
 from motifdiff.graphs import Dataset, Graph
 
 from conftest import src_env
@@ -118,6 +120,31 @@ def test_sample_deterministic_and_trajectories(train_path, tmp_path):
     first = json.loads(lines[0])
     assert set(first) == {"sample", "t", "W"}
     assert first["t"] == pytest.approx(1.0)
+
+
+def test_sample_builds_one_oracle_in_the_parent(train_path, tmp_path,
+                                                monkeypatch):
+    # the workers inherit the parent's oracle by fork and build none
+    builds = tmp_path / "builds.txt"
+    build = ScoreOracle.__init__
+
+    def recording_build(self, *args, **kwargs):
+        with open(builds, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScoreOracle, "__init__", recording_build)
+    outs = []
+    for threads in ("2", "1"):
+        out = tmp_path / f"gen_{threads}.jsonl"
+        traj = tmp_path / f"traj_{threads}.jsonl"
+        assert run(["sample", "--train", train_path, "--num-samples", "4",
+                    "--steps", "12", "--seed", "5", "--threads", threads,
+                    "--trajectories", str(traj), "--out", str(out)]) == 0
+        if threads == "2":
+            assert builds.read_text().split() == [str(os.getpid())]
+        outs.append((out.read_bytes(), traj.read_bytes()))
+    assert outs[0] == outs[1]
 
 
 def test_sample_requires_n_for_mixed_sizes(tmp_path):
