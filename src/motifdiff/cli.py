@@ -103,6 +103,12 @@ def _sample_one(oracle: ScoreOracle, args, idx: int) -> tuple:
     return g, None if traj is None else [(float(t), W.tolist()) for t, W in traj]
 
 
+# the sample flags echoed, as str(value), into the output's metadata line
+_SAMPLE_ECHOED = ("train", "num_samples", "steps", "score", "seed", "beta_min",
+                  "beta_max", "t_min", "t_max", "perm_policy", "mc_samples",
+                  "series_k", "threshold")
+
+
 def cmd_sample(args) -> int:
     train = read_dataset(args.train)
     if args.num_samples < 1:
@@ -124,23 +130,8 @@ def cmd_sample(args) -> int:
     results = ordered_map(lambda idx: _sample_one(oracle, args, idx),
                           range(args.num_samples), threads=args.threads)
     graphs = tuple(g for g, _ in results)
-    metadata = {
-        "generator": "reverse-diffusion",
-        "train": str(args.train),
-        "n": str(n),
-        "num_samples": str(args.num_samples),
-        "steps": str(args.steps),
-        "score": args.score,
-        "seed": str(args.seed),
-        "beta_min": str(args.beta_min),
-        "beta_max": str(args.beta_max),
-        "t_min": str(args.t_min),
-        "t_max": str(args.t_max),
-        "perm_policy": args.perm_policy,
-        "mc_samples": str(args.mc_samples),
-        "series_k": str(args.series_k),
-        "threshold": str(args.threshold),
-    }
+    metadata = {flag: str(getattr(args, flag)) for flag in _SAMPLE_ECHOED}
+    metadata.update(generator="reverse-diffusion", n=str(n))
     write_dataset(Dataset(graphs=graphs, metadata=metadata), args.out)
     if args.trajectories is not None:
         with open(args.trajectories, "w", encoding="utf-8") as fh:

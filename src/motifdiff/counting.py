@@ -233,52 +233,45 @@ def naive_count_oracle(g: Graph, p: Pattern) -> int:
 
 @dataclass(frozen=True)
 class CountDistribution:
-    """Empirical distribution of a pattern's count over a dataset."""
+    """Empirical distribution of a pattern's count over a dataset, kept as
+    integer counts per value; the mass is derived from them."""
 
-    mass: Mapping[int, float]
-    sample_size: int
-    counts: Mapping[int, int] | None = None
+    counts: Mapping[int, int]
 
     def __post_init__(self):
-        mass = {int(k): float(v) for k, v in dict(self.mass).items()}
-        object.__setattr__(self, "mass", mass)
-        if self.sample_size <= 0:
-            raise ContractError("sample_size must be positive")
-        if any(v < 0 for v in mass.values()):
-            raise ContractError("probability mass must be non-negative")
-        if abs(sum(mass.values()) - 1.0) > 1e-12:
-            raise ContractError("probability mass must sum to 1")
-        if self.counts is not None:
-            counts = {int(k): int(v) for k, v in dict(self.counts).items()}
-            if sum(counts.values()) != self.sample_size:
-                raise ContractError("histogram counts must sum to sample_size")
-            if set(counts) != set(mass):
-                raise ContractError("histogram support must match mass support")
-            object.__setattr__(self, "counts", counts)
+        counts = {int(k): int(v) for k, v in dict(self.counts).items()}
+        if any(v < 0 for v in counts.values()):
+            raise ContractError("histogram counts must be non-negative")
+        if not sum(counts.values()):
+            raise ContractError("cannot build a distribution from no samples")
+        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_counts(cls, values) -> "CountDistribution":
-        values = [int(v) for v in values]
-        if not values:
-            raise ContractError("cannot build a distribution from no samples")
         counts: dict[int, int] = {}
-        for v in values:
+        for v in map(int, values):
             counts[v] = counts.get(v, 0) + 1
-        total = len(values)
-        mass = {k: c / total for k, c in counts.items()}
-        return cls(mass=mass, sample_size=total, counts=counts)
+        return cls(counts)
+
+    @property
+    def sample_size(self) -> int:
+        return sum(self.counts.values())
+
+    @property
+    def mass(self) -> dict[int, float]:
+        total = self.sample_size
+        return {k: c / total for k, c in self.counts.items()}
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.mass))
+        return tuple(sorted(self.counts))
 
     def to_json_dict(self) -> dict:
-        out = {
-            "mass": {str(k): self.mass[k] for k in sorted(self.mass)},
+        mass = self.mass
+        return {
+            "mass": {str(k): mass[k] for k in sorted(mass)},
             "sample_size": self.sample_size,
+            "counts": {str(k): self.counts[k] for k in sorted(self.counts)},
         }
-        if self.counts is not None:
-            out["counts"] = {str(k): self.counts[k] for k in sorted(self.counts)}
-        return out
 
 
 def _graph_counts(g: Graph, plans: tuple[_Plan, ...]) -> tuple[int, ...]:

@@ -5,14 +5,14 @@ Node ids are 0-based everywhere inside the library; ``graph_from_edge_list``
 and the JSONL dataset format are the 1-based boundary.
 
 Canonical labeling and automorphism counting are one individualize-and-refine
-search (after McKay & Piperno, "Practical graph isomorphism, II"). The
-canonical ordering is the search leaf with the smallest adjacency encoding,
-so equal ``canonical_form`` bytes is the isomorphism test. Each branching
-cell is split into twin classes (N(u) - {v} == N(v) - {u}); swapping twins
-is an automorphism that fixes every earlier choice, so one member per class
-is searched, weighted by the class size, and |Aut| is the summed weight of
-the leaves that tie the smallest encoding. A cell that is one twin class does
-not branch, so stars and isolated nodes add no leaves. Symmetry between
+search (after McKay & Piperno, "Practical graph isomorphism, II"). A pass
+before it numbers the members of each twin class (same color, N(u) - {v} ==
+N(v) - {u}) in node order: permuting a class is an automorphism fixing every
+other node, so this breaks exactly |class|! symmetries and stars, isolated
+nodes and cliques refine to discrete colorings at once. The canonical
+ordering is the search leaf with the smallest adjacency encoding, so equal
+``canonical_form`` bytes is the isomorphism test; |Aut| is the product of
+the |class|! times the number of leaves that tie it. Symmetry between
 non-twin parts stays exponential: k disjoint edges give k! leaves.
 """
 
@@ -207,24 +207,23 @@ def _individualize(colors: Sequence[int], v: int) -> list[int]:
     return child
 
 
-def _twin_classes(cell: Sequence[int], masks: Sequence[int]) -> list[list[int]]:
-    """Split `cell` into twin classes, each listed in increasing node order.
+def _twin_classes(colors: Sequence[int], masks: Sequence[int]) -> list[list[int]]:
+    """The twin classes with two or more members, each in node order.
 
-    u and v are twins when N(u) - {v} == N(v) - {u}: equal neighbor masks
-    (non-adjacent twins) or equal closed-neighborhood masks (adjacent twins).
-    No node has twins of both kinds, so the two groupings give a partition.
+    u and v are twins when they share a color and N(u) - {v} == N(v) - {u}:
+    equal neighbor masks (non-adjacent twins) or equal closed-neighborhood
+    masks (adjacent twins). No node has twins of both kinds, so the classes
+    are disjoint.
     """
-    open_groups: dict[int, list[int]] = {}
-    for v in cell:
-        open_groups.setdefault(masks[v], []).append(v)
-    classes = [grp for grp in open_groups.values() if len(grp) > 1]
-    closed_groups: dict[int, list[int]] = {}
-    for grp in open_groups.values():
+    open_groups: dict[tuple[int, int], list[int]] = {}
+    for v, c in enumerate(colors):
+        open_groups.setdefault((c, masks[v]), []).append(v)
+    closed_groups: dict[tuple[int, int], list[int]] = {}
+    for (c, mask), grp in open_groups.items():
         if len(grp) == 1:
-            v = grp[0]
-            closed_groups.setdefault(masks[v] | (1 << v), []).append(v)
-    classes.extend(closed_groups.values())
-    return classes
+            closed_groups.setdefault((c, mask | 1 << grp[0]), []).append(grp[0])
+    return [grp for grp in (*open_groups.values(), *closed_groups.values())
+            if len(grp) > 1]
 
 
 def _symmetry_search(g: Graph, colors0: Sequence[int]
@@ -233,20 +232,19 @@ def _symmetry_search(g: Graph, colors0: Sequence[int]
     smallest among the search leaves) and the number of color-preserving
     automorphisms."""
     n = g.n
-    if n == 0:
-        return (), b"", 1
-    if len(set(colors0)) == 1 and g.m in (0, n * (n - 1) // 2):
-        # every ordering of an empty or complete graph encodes identically
-        order = tuple(range(n))
-        return order, _ordering_bits(g.adj, order), math.factorial(n)
-    adj = g.adj
+    # number each twin class 0, 1, ... in node order (see the module notes)
+    colors = [c * n for c in colors0]
+    twin_factor = 1
+    for cls in _twin_classes(colors0, g.neighbor_masks):
+        twin_factor *= math.factorial(len(cls))
+        for rank, v in enumerate(cls):
+            colors[v] += rank
     neighbors = g.neighbor_lists
-    masks = g.neighbor_masks
     best_key = best_order = None
-    aut = 0
-    pending = [(list(colors0), 1)]
+    leaves = 0
+    pending = [colors]
     while pending:
-        colors, weight = pending.pop()
+        colors = pending.pop()
         while True:
             colors = _refine_colors(n, neighbors, colors)
             by_color: dict[int, list[int]] = {}
@@ -256,20 +254,16 @@ def _symmetry_search(g: Graph, colors0: Sequence[int]
                          if len(by_color[c]) > 1), None)
             if cell is None:
                 break
-            # search one member per twin class, weighted by the class size;
-            # the first class continues in this loop instead of branching
-            first, *rest = _twin_classes(cell, masks)
-            for cls in rest:
-                pending.append((_individualize(colors, cls[0]), weight * len(cls)))
-            colors = _individualize(colors, first[0])
-            weight *= len(first)
+            # every member of the first non-singleton cell is a branch
+            pending.extend(_individualize(colors, v) for v in cell[1:])
+            colors = _individualize(colors, cell[0])
         order = tuple(v for _, v in sorted((colors[v], v) for v in range(n)))
-        key = _ordering_bits(adj, order)
+        key = _ordering_bits(g.adj, order)
         if best_key is None or key < best_key:
-            best_key, best_order, aut = key, order, weight
+            best_key, best_order, leaves = key, order, 1
         elif key == best_key:
-            aut += weight
-    return best_order, best_key, aut
+            leaves += 1
+    return best_order, best_key, twin_factor * leaves
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -293,8 +287,8 @@ def marked_canonical_form(p: Pattern) -> bytes:
 
 
 def automorphism_count(g: Graph) -> int:
-    """Exact order of the automorphism group: the summed weight of the
-    search leaves that tie the canonical key."""
+    """Exact order of the automorphism group: the twin factor times the
+    number of search leaves that tie the canonical key."""
     if g.n > AUTOMORPHISM_NODE_CAP:
         raise CapacityError(
             f"automorphism counting is capped at {AUTOMORPHISM_NODE_CAP} nodes,"

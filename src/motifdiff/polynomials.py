@@ -52,6 +52,17 @@ def _as_square(W) -> np.ndarray:
     return arr
 
 
+def _edge_products(W: np.ndarray, asn: np.ndarray, edges, dtype) -> np.ndarray:
+    """Per assignment row, the product of W entries along `edges` in order."""
+    k_nodes = asn.shape[1]
+    acc = np.ones(len(asn), dtype=dtype)
+    for a, b in edges:
+        if not (0 <= a < k_nodes and 0 <= b < k_nodes):
+            raise InputError(f"edge ({a}, {b}) out of range for k={k_nodes}")
+        acc = acc * W[asn[:, a], asn[:, b]].astype(dtype)
+    return acc
+
+
 def monomial_sum(W, k_nodes: int, edges) -> int | float:
     """Raw injective monomial sum: sum over injective maps [k_nodes] -> [n]
     of the product of W entries along `edges` (repeats retain multiplicity).
@@ -66,13 +77,8 @@ def monomial_sum(W, k_nodes: int, edges) -> int | float:
     exact = np.issubdtype(W.dtype, np.integer)
     if k_nodes > n:
         return 0 if exact else 0.0
-    asn = _injective_assignments(n, k_nodes)
-    dtype = np.int64 if exact else np.float64
-    acc = np.ones(len(asn), dtype=dtype)
-    for a, b in edges:
-        if not (0 <= a < k_nodes and 0 <= b < k_nodes):
-            raise InputError(f"edge ({a}, {b}) out of range for k={k_nodes}")
-        acc = acc * W[asn[:, a], asn[:, b]].astype(dtype)
+    acc = _edge_products(W, _injective_assignments(n, k_nodes), edges,
+                         np.int64 if exact else np.float64)
     # fsum is correctly rounded, so the sum does not depend on assignment
     # order: permuting W permutes the products and leaves the bits unchanged
     return int(acc.sum()) if exact else math.fsum(acc.tolist())
@@ -91,31 +97,20 @@ def pinned_monomial_matrix(W, k_nodes: int, edges, c: int, d: int) -> np.ndarray
         raise InputError("pinned sums need at least the two marked nodes")
     if not (0 <= c < k_nodes and 0 <= d < k_nodes) or c == d:
         raise InputError(f"marks ({c}, {d}) invalid for k={k_nodes}")
-    edges = [(int(a), int(b)) for a, b in edges]
-    for a, b in edges:
-        if not (0 <= a < k_nodes and 0 <= b < k_nodes):
-            raise InputError(f"edge ({a}, {b}) out of range for k={k_nodes}")
     exact = np.issubdtype(W.dtype, np.integer)
     dtype = np.int64 if exact else np.float64
+    asn = _injective_assignments(n, k_nodes)
+    acc = _edge_products(W, asn, edges, dtype)
     out = np.zeros((n, n), dtype=dtype)
-    if k_nodes > n:
-        return out
-    free = [v for v in range(k_nodes) if v not in (c, d)]
-    col = {v: pos for pos, v in enumerate(free)}
-    base = _injective_assignments(n - 2, k_nodes - 2)
-    hosts = np.arange(n)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            comp = np.delete(hosts, [i, j])
-            cols = comp[base]
-            acc = np.ones(len(base), dtype=dtype)
-            for a, b in edges:
-                va = i if a == c else j if a == d else cols[:, col[a]]
-                vb = i if b == c else j if b == d else cols[:, col[b]]
-                acc = acc * W[va, vb].astype(dtype)
-            out[i, j] = acc.sum() if exact else math.fsum(acc.tolist())
+    if len(acc):  # no assignment when k_nodes > n
+        # every pin pair has the same number of completions, so rows sorted
+        # by (host of c, host of d) form one block per off-diagonal entry, in
+        # row-major order; fsum makes each sum independent of the row order
+        by_pins = np.argsort(asn[:, c] * n + asn[:, d])
+        blocks = acc[by_pins].reshape(n * (n - 1), -1)
+        out[~np.eye(n, dtype=bool)] = (
+            blocks.sum(axis=1) if exact
+            else [math.fsum(block) for block in blocks.tolist()])
     return out
 
 

@@ -27,7 +27,7 @@ HISTOGRAM = {
         },
         "sample_size": {"type": "integer", "minimum": 1},
     },
-    "required": ["mass", "sample_size"],
+    "required": ["mass", "counts", "sample_size"],
     "additionalProperties": False,
 }
 

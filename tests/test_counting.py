@@ -140,15 +140,16 @@ def test_count_distribution_validation():
     with pytest.raises(ContractError):
         CountDistribution.from_counts([])
     with pytest.raises(ContractError):
-        CountDistribution(mass={0: 1.0}, sample_size=0)
+        CountDistribution({})
     with pytest.raises(ContractError):
-        CountDistribution(mass={0: -0.5, 1: 1.5}, sample_size=1)
+        CountDistribution({0: 0, 1: 0})
     with pytest.raises(ContractError):
-        CountDistribution(mass={0: 0.7}, sample_size=1)
-    with pytest.raises(ContractError):
-        CountDistribution(mass={0: 1.0}, sample_size=2, counts={0: 1})
-    with pytest.raises(ContractError):
-        CountDistribution(mass={0: 0.5, 1: 0.5}, sample_size=2, counts={0: 2})
+        CountDistribution({0: -1, 1: 2})
+    # mass and sample_size are derived from the counts
+    d = CountDistribution({3: 1, 0: 3})
+    assert d.sample_size == 4
+    assert d.mass == {3: 0.25, 0: 0.75}
+    assert d == CountDistribution.from_counts([0, 3, 0, 0])
 
 
 def test_count_distribution_over_dataset():

@@ -37,24 +37,6 @@ def test_tv_point_mass_correspondence_is_exact():
     assert tv_distance(train, gen97) == float(Fraction(33, 97))
 
 
-def test_tv_float_path_without_counts():
-    p = CountDistribution(mass={0: 0.5, 1: 0.5}, sample_size=10)
-    q = CountDistribution(mass={0: 0.25, 2: 0.75}, sample_size=10)
-    # |0.5-0.25| + |0.5-0| + |0-0.75| over 2
-    assert tv_distance(p, q) == pytest.approx(0.75)
-    assert p.counts is None
-
-
-def test_tv_rejects_unnormalized_input():
-    good = dist([1, 2])
-    broken = dist([1, 1])
-    object.__setattr__(broken, "mass", {1: 0.4})  # bypass the constructor
-    with pytest.raises(ContractError):
-        tv_distance(broken, good)
-    with pytest.raises(ContractError):
-        tv_distance(good, broken)
-
-
 def test_novelty_modes():
     train = Dataset(graphs=(TWIN_A,))
     relabeled = Dataset(graphs=(permute_graph(TWIN_A, [5, 3, 1, 0, 2, 4]),))

@@ -1,6 +1,7 @@
 """Graph type, canonical labeling, automorphism counting."""
 
 import itertools
+import math
 import subprocess
 import sys
 
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 from motifdiff.errors import CapacityError, InputError
-from motifdiff.graphs import (Dataset, Graph, Pattern, automorphism_count,
-                              canonical_form, graph_from_edge_list,
-                              marked_canonical_form)
+from motifdiff.graphs import (Dataset, Graph, Pattern, _symmetry_search,
+                              automorphism_count, canonical_form,
+                              graph_from_edge_list, marked_canonical_form)
 
 from conftest import (complete_graph, is_connected, make_random_graph,
                       permute_graph, src_env)
@@ -150,7 +151,8 @@ def test_canonical_form_separates_same_degree_pairs():
 
 
 def test_canonical_form_uniform_guard():
-    # complete and empty graphs take the uniform-color shortcut
+    # complete and empty graphs are one twin class each, numbered to a
+    # discrete coloring before the search starts
     assert canonical_form(complete_graph(4)) == canonical_form(
         permute_graph(complete_graph(4), [3, 1, 0, 2]))
     assert canonical_form(Graph.from_edges(3, [])) != canonical_form(
@@ -187,6 +189,24 @@ def test_automorphism_count_matches_brute_force():
             1 for perm in itertools.permutations(range(n))
             if permute_graph(g, list(perm)) == g)
         assert automorphism_count(g) == brute
+
+
+LARGE_TWIN_HOSTS = {
+    "star_K1_999": (lambda: Graph.from_edges(1000, [(0, v) for v in range(1, 1000)]),
+                    math.factorial(999)),
+    "one_edge": (lambda: Graph.from_edges(1000, [(0, 1)]), 2 * math.factorial(998)),
+    "empty": (lambda: Graph.from_edges(1000, []), math.factorial(1000)),
+    "K1000": (lambda: complete_graph(1000), math.factorial(1000)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_TWIN_HOSTS))
+def test_twin_classes_give_aut_of_large_hosts(name):
+    # above automorphism_count's cap; the twin pass numbers each class, so
+    # the search has one leaf and |Aut| is the product of the |class|!
+    build, expected = LARGE_TWIN_HOSTS[name]
+    g = build()
+    assert _symmetry_search(g, (0,) * g.n)[2] == expected
 
 
 def test_automorphism_cap():

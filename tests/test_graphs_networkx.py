@@ -102,3 +102,12 @@ def test_canonical_form_agrees_with_networkx_isomorphism():
         relabeled = permute_graph(a, list(rng.permutation(n)))
         assert canonical_form(relabeled) == canonical_form(a)
     assert 0 < equal_pairs < 300
+
+
+def test_atlas_canonical_forms_and_small_groups():
+    # the atlas lists every graph on up to 7 nodes once per isomorphism class
+    atlas = [from_nx(h) for h in nx.graph_atlas_g()]
+    assert len({canonical_form(g) for g in atlas}) == len(atlas) == 1253
+    for g in atlas:
+        if g.n <= 6:
+            assert automorphism_count(g) == nx_automorphisms(g)
