@@ -10,9 +10,10 @@ posterior-mean, no learned network anywhere.
 
 The same score has a truncated-series form organized around inner-product
 powers. Both are implemented on a shared template table: the deduplicated
-permuted-adjacency rows with multiplicities, deduplicated as bit-packed
-byte keys whose byte order is the rows' lexicographic order, so the table
-is the one ``np.unique(rows, axis=0)`` would give. ``verify_basis_expansion``
+permuted-adjacency rows with multiplicities. The rows are bit-packed into
+big-endian 64-bit words, whose order is the rows' lexicographic order, and
+deduplicated by one ``np.lexsort`` over the word columns, so the table is
+the one ``np.unique(rows, axis=0)`` would give. ``verify_basis_expansion``
 checks the algebraic identity behind the series form, term by term, against
 the graph-polynomial module.
 
@@ -56,6 +57,19 @@ def _check_oracle_bytes(nbytes: int, what: str) -> None:
             f"score oracle: {what} would take {nbytes} bytes, over the"
             f" {ORACLE_BYTES_CAP}-byte cap; use fewer graphs, nodes or"
             f" --mc-samples")
+
+
+def _permutation_table(n: int) -> np.ndarray:
+    """All n! permutations of range(n) as intp rows, in the order
+    ``itertools.permutations(range(n))`` yields them."""
+    table = np.zeros((1, 0), dtype=np.intp)
+    for m in range(1, n + 1):
+        # head h, then the other m-1 values, sorted, in the (m-1)! table's order
+        table = np.concatenate([
+            np.column_stack((np.full(len(table), h, dtype=np.intp),
+                             np.delete(np.arange(m, dtype=np.intp), h)[table]))
+            for h in range(m)])
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +206,12 @@ class ScoreOracle:
 
     Precomputes the deduplicated table of permuted training adjacencies
     (upper-triangle rows with multiplicities, in lexicographic row order).
-    Each graph's permuted 0/1 rows are packed big-endian into ceil(E/8)-byte
-    keys; one ``np.unique`` over the keys, viewed as single ``np.void``
-    values, gives the templates and their counts, unpacked back to rows.
-    The per-graph gather, the keys and the float64 table are each held
+    One flat index (permutation x edge slot into a raveled adjacency) gathers
+    each graph's permuted 0/1 rows, which are packed into zero-padded
+    big-endian 64-bit words, ceil(E/64) per row. ``np.lexsort`` over the
+    word columns sorts the rows; the first row of each run is a template,
+    the run lengths are its count, and the words are unpacked back to rows.
+    The gather, the keys and the float64 table are each held
     under ``ORACLE_BYTES_CAP``, and Monte Carlo draws under
     ``MC_SAMPLES_CAP`` (``CapacityError`` past either). Everything else is a
     small amount of arithmetic per query against that table.
@@ -221,37 +237,54 @@ class ScoreOracle:
                 f" got n={n}")
         self.policy = policy
         num_perms = factorial(n) if policy == "exhaustive" else self.cfg.mc_samples
-        # intp permutations plus one graph's uint8 gather of permuted adjacencies
-        _check_oracle_bytes(num_perms * n * (8 + n), "the permutations and gather")
+        iu, ju = np.triu_indices(n, 1)
+        slots = int(iu.size)
+        # intp permutations and flat gather index, plus one graph's uint8 rows
+        _check_oracle_bytes(num_perms * (8 * n + 9 * slots),
+                            "the permutations and gather")
         if policy == "monte_carlo" and num_perms > MC_SAMPLES_CAP:
             raise CapacityError(
                 f"score oracle: {num_perms} Monte Carlo permutations are over"
                 f" the cap of {MC_SAMPLES_CAP}; use fewer --mc-samples")
         if policy == "exhaustive":
-            perms = np.array(list(itertools.permutations(range(n))),
-                             dtype=np.intp).reshape(-1, n)
+            perms = _permutation_table(n)
         else:
             rng = np.random.default_rng(self.cfg.seed)
             perms = np.array([rng.permutation(n) for _ in range(self.cfg.mc_samples)],
                              dtype=np.intp)
-        iu, ju = np.triu_indices(n, 1)
-        slots = int(iu.size)
+        # row p, slot (i, j) reads adj[perm[i], perm[j]], at perm[i]*n + perm[j]
+        # of the raveled adjacency; summed column by column, as a whole-array
+        # sum would allocate (and free) a second index-sized array
+        flat = perms[:, iu]
+        flat *= n
+        for s, j in enumerate(ju):
+            flat[:, s] += perms[:, j]
         packed = -(-slots // 8)
-        width = max(1, packed)  # n=1 still needs a key: a 0-byte void is invalid
+        words = max(1, -(-packed // 8))  # n=1 still needs a key word
         total = len(graphs) * num_perms
-        _check_oracle_bytes(total * width, "the row keys")
-        keys = np.zeros((total, width), dtype=np.uint8)
+        _check_oracle_bytes(total * 8 * words, "the row keys")
+        keys = np.zeros((total, 8 * words), dtype=np.uint8)
         for i, g in enumerate(graphs):
-            rows = g.adj[perms[:, :, None], perms[:, None, :]][:, iu, ju]
+            rows = g.adj.ravel()[flat]
             keys[i * num_perms:(i + 1) * num_perms, :packed] = np.packbits(rows, axis=1)
-        # big-endian packing makes the keys' byte order the rows' order
-        uniq, counts = np.unique(keys.view(f"V{width}").ravel(), return_counts=True)
-        _check_oracle_bytes(uniq.size * slots * 8, "the template table")
-        templates = np.unpackbits(uniq.view(np.uint8).reshape(-1, width), axis=1,
-                                  count=slots)
+        # big-endian, zero-padded words: word order is the rows' order
+        keys = keys.view(">u8").astype(np.uint64)
+        keys = keys[np.lexsort(keys.T[::-1])]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], np.any(keys[1:] != keys[:-1], axis=1))))
+        _check_oracle_bytes(starts.size * slots * 8, "the template table")
+        templates = np.unpackbits(keys[starts].astype(">u8").view(np.uint8),
+                                  axis=1, count=slots)
+        # freed only now: once a block this large is released, glibc serves
+        # the sort's mid-size arrays from its heap, where they stay resident
+        # after the build and raise the sampler's peak RSS
+        del perms, flat, rows, keys
+        counts = np.diff(starts, append=total)
+        del starts
         self._V = templates.astype(np.float64)
         self._logmult = np.log(counts.astype(np.float64))
-        self._ssq = np.einsum("ve,ve->v", self._V, self._V, optimize=False)
+        # on 0/1 rows the row sum is the sum of squares, exactly
+        self._ssq = templates.sum(axis=1, dtype=np.float64)
         self._ssq_min = float(self._ssq.min())
         self._log_total = math.log(total)
         self.num_templates = int(templates.shape[0])

@@ -184,6 +184,11 @@ def _refine_colors(n: int, neighbors: Sequence[Sequence[int]],
     colored graph, never on the input numbering."""
     cur = list(colors)
     while True:
+        if len(set(cur)) == n:
+            # a discrete coloring cannot split: the loop would return its
+            # dense ranking one or two passes later
+            ranking = {c: r for r, c in enumerate(sorted(cur))}
+            return [ranking[c] for c in cur]
         sigs = [(cur[v], tuple(sorted(cur[u] for u in neighbors[v])))
                 for v in range(n)]
         ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}

@@ -150,6 +150,13 @@ def star_graph(n):
     return Graph.from_edges(n, [(0, v) for v in range(1, n)])
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_permutation_table_is_itertools_order(n):
+    table = diffusion._permutation_table(n)
+    assert table.dtype == np.intp
+    assert table.tolist() == [list(p) for p in itertools.permutations(range(n))]
+
+
 def table_cases():
     rng = np.random.default_rng(17)
     for n in range(1, 8):
@@ -160,11 +167,14 @@ def table_cases():
         yield pytest.param(
             n, (a, b, a, relabeled, empty, complete_graph(n), star_graph(n)),
             EXH, id=f"exhaustive-n{n}")
-    for n in (9, 12):  # 36 and 66 edge slots: 5- and 9-byte keys
+    for n in (9, 12):  # 36 and 66 edge slots: one- and two-word keys
         graphs = tuple(make_random_graph(n, 0.4, rng) for _ in range(3))
         cfg = ScoreConfig(perm_policy="monte_carlo", mc_samples=3000, seed=n)
         yield pytest.param(n, graphs + (star_graph(n), graphs[0]), cfg,
                            id=f"monte-carlo-n{n}")
+    # sample-wide's size: 40,320 permutations, 28 slots in one key word
+    yield pytest.param(8, (make_random_graph(8, 0.4, rng), star_graph(8)), EXH,
+                       id="exhaustive-n8")
 
 
 @pytest.mark.parametrize("n,graphs,cfg", list(table_cases()))
@@ -182,29 +192,31 @@ def test_oracle_table_matches_row_unique(n, graphs, cfg):
 
 
 def test_oracle_byte_cap(monkeypatch):
-    paths = Dataset(graphs=(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
-                            Graph.from_edges(4, [(0, 1), (1, 2)]),
-                            Graph.from_edges(4, [(0, 1)])))
-    # 24 permutations x 4 x (8 + 4) bytes of permutations and gather and
-    # 3 x 24 one-byte keys pass; 12 + 12 + 6 templates x 6 slots x 8 bytes
-    # of float64 table do not
-    monkeypatch.setattr(diffusion, "ORACLE_BYTES_CAP", 1439)
-    with pytest.raises(CapacityError, match="template table"):
-        ScoreOracle(paths, 4, cfg=EXH)
-    monkeypatch.setattr(diffusion, "ORACLE_BYTES_CAP", 1440)
-    assert ScoreOracle(paths, 4, cfg=EXH).num_templates == 30
-    # 61 graphs x 24 one-byte keys do not
-    with pytest.raises(CapacityError, match="row keys"):
-        ScoreOracle(Dataset(graphs=paths.graphs[:1] * 61), 4, cfg=EXH)
-    monkeypatch.setattr(diffusion, "ORACLE_BYTES_CAP", 1151)
-    with pytest.raises(CapacityError, match="gather"):
-        ScoreOracle(paths, 4, cfg=EXH)
-    # 5e7 x 16 gather bytes fit, but not with the 5e7 x 4 x 8 bytes of
-    # permutations beside them
+    # one graph of each of the 11 isomorphism classes on 4 nodes: 24
+    # permutations x (8 x 4 + 9 x 6) = 2,064 bytes of permutations, flat
+    # index and rows; 11 x 24 one-word keys x 8 = 2,112 bytes; all 64
+    # labeled graphs as templates x 6 slots x 8 = 3,072 bytes of table
+    classes = [[], [(0, 1)], [(0, 1), (1, 2)], [(0, 1), (2, 3)],
+               [(0, 1), (1, 2), (0, 2)], [(0, 1), (0, 2), (0, 3)],
+               [(0, 1), (1, 2), (2, 3)], [(0, 1), (1, 2), (2, 3), (0, 3)],
+               [(0, 1), (1, 2), (0, 2), (2, 3)],
+               [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)],
+               [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]]
+    every = Dataset(graphs=tuple(Graph.from_edges(4, e) for e in classes))
+    for cap, what in ((2063, "gather"), (2064, "row keys"), (2111, "row keys"),
+                      (2112, "template table"), (3071, "template table")):
+        monkeypatch.setattr(diffusion, "ORACLE_BYTES_CAP", cap)
+        with pytest.raises(CapacityError, match=what):
+            ScoreOracle(every, 4, cfg=EXH)
+    monkeypatch.setattr(diffusion, "ORACLE_BYTES_CAP", 3072)
+    assert ScoreOracle(every, 4, cfg=EXH).num_templates == 64
+    # the flat index and one graph's rows of 1.5e7 permutations fit
+    # (1.5e7 x 54 bytes), but not with the 1.5e7 x 4 x 8 bytes of
+    # permutations beside them; refused before the Monte Carlo cap
     monkeypatch.setattr(diffusion, "ORACLE_BYTES_CAP", 2**30)
-    many = ScoreConfig(perm_policy="monte_carlo", mc_samples=5 * 10**7)
+    many = ScoreConfig(perm_policy="monte_carlo", mc_samples=15 * 10**6)
     with pytest.raises(CapacityError, match="gather"):
-        ScoreOracle(paths, 4, cfg=many)
+        ScoreOracle(every, 4, cfg=many)
 
 
 def test_oracle_mc_samples_cap(monkeypatch):

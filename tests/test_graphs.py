@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from motifdiff.errors import CapacityError, InputError
-from motifdiff.graphs import (Dataset, Graph, Pattern, _symmetry_search,
-                              automorphism_count, canonical_form,
-                              graph_from_edge_list, marked_canonical_form)
+from motifdiff.graphs import (Dataset, Graph, Pattern, _refine_colors,
+                              _symmetry_search, automorphism_count,
+                              canonical_form, graph_from_edge_list,
+                              marked_canonical_form)
 
 from conftest import (complete_graph, is_connected, make_random_graph,
                       permute_graph, src_env)
@@ -207,6 +208,23 @@ def test_twin_classes_give_aut_of_large_hosts(name):
     build, expected = LARGE_TWIN_HOSTS[name]
     g = build()
     assert _symmetry_search(g, (0,) * g.n)[2] == expected
+
+
+def test_refine_colors_returns_dense_ranking_of_discrete_coloring():
+    # twin-style numbering c*n + rank leaves gaps between the color ids
+    path = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    colors = [c * 5 + r for c, r in ((1, 1), (0, 4), (2, 0), (0, 1), (1, 0))]
+    dense = [3, 1, 4, 0, 2]
+    assert _refine_colors(5, path.neighbor_lists, colors) == dense
+    assert _refine_colors(5, path.neighbor_lists, dense) == dense
+
+    # a discrete coloring cannot split, so no neighbor list is read
+    class Unread:
+        def __getitem__(self, v):
+            raise AssertionError("refinement pass on a discrete coloring")
+
+    assert _refine_colors(5, Unread(), colors) == dense
+    assert _refine_colors(0, Unread(), []) == []
 
 
 def test_automorphism_cap():
