@@ -6,20 +6,23 @@ the pattern's automorphism group order. Non-edges of the pattern impose no
 constraint, so a triangle is counted inside a complete graph as many times
 as there are node triples.
 
-The matcher is a backtracking search over host nodes with bitmask candidate
-intersection. Patterns are tiny (at most 12 nodes) and hosts are desk scale.
-Subgraph counting first compiles the pattern once into a plan: |Aut|, the
-matcher's node order and symmetry-breaking constraints host(v) < host(u)
-(after Grochow & Kellis, "Network motif discovery using subgraph
-enumeration and symmetry-breaking", RECOMB 2007). The constraints come from
-a chain of color refinements, each with one more node of the order
-individualized; the cell of the next node stands in for its orbit. A cell
-contains the orbit, so the product of the cell sizes is at least |Aut|, and
-it equals |Aut| exactly when every cell is an orbit. Only then is the chain
-certified: the constrained search meets each subgraph once, and the count
-needs no division. Otherwise (regular patterns refinement cannot split, such
-as C3 plus a disjoint C4) the plan has no constraints and the map count is
-divided by |Aut|. The injective map counts stay unconstrained.
+The matcher is one backtracking search over host nodes with bitmask
+candidate intersection, driven by a plan. Patterns are tiny (at most 12
+nodes) and hosts are desk scale. A plan starts as a walk: a greedy order
+over the pattern's nodes that are not pinned, with no constraints and
+divisor 1. Injective map counts use the walk as it is; rooted counts pin
+the two marks, after ``count_rooted`` has checked the roots once.
+Subgraph counting compiles the pattern once into a plan that adds |Aut| and
+symmetry-breaking constraints host(v) < host(u) (after Grochow & Kellis,
+"Network motif discovery using subgraph enumeration and symmetry-breaking",
+RECOMB 2007). The constraints come from a chain of color refinements, each
+with one more node of the order individualized; the cell of the next node
+stands in for its orbit. A cell contains the orbit, so the product of the
+cell sizes is at least |Aut|, and it equals |Aut| exactly when every cell is
+an orbit. Only then is the chain certified: the constrained search meets
+each subgraph once, and the count needs no division. Otherwise (regular
+patterns refinement cannot split, such as C3 plus a disjoint C4) the plan
+has no constraints and the map count is divided by |Aut|.
 
 ``naive_count_oracle`` recounts by brute force over all injective node
 assignments: the exact integer monomial sum of the pattern's edges over the
@@ -30,9 +33,7 @@ lookups over explicitly materialized assignments.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .errors import CapacityError, ContractError, InputError
@@ -46,43 +47,15 @@ from .polynomials import monomial_sum
 ORACLE_NODE_CAP = 9
 
 
-def _embedding_order(p: Pattern, pinned: tuple[int, ...]) -> tuple[list[int], list[list[int]]]:
-    """Greedy search order over the pattern's non-pinned nodes.
-
-    Nodes with more already-placed neighbors come first (their candidate
-    sets are tighter), ties broken by degree then by index. Returns the
-    order and, per ordered node, the positions in (pins + order) of its
-    already-placed pattern neighbors.
-    """
-    g = p.graph
-    placed = list(pinned)
-    remaining = [v for v in range(g.n) if v not in placed]
-    order: list[int] = []
-    while remaining:
-        def score(v):
-            anchored = sum(1 for u in g.neighbor_lists[v] if u in placed)
-            return (anchored, g.degrees[v], -v)
-        v = max(remaining, key=score)
-        remaining.remove(v)
-        order.append(v)
-        placed.append(v)
-    full = list(pinned) + order
-    prev_positions = []
-    for i, v in enumerate(order):
-        before = full[:len(pinned) + i]
-        prev_positions.append(
-            [before.index(u) for u in g.neighbor_lists[v] if u in before])
-    return order, prev_positions
-
-
 @dataclass(frozen=True)
 class _Plan:
-    """A pattern compiled for subgraph counting.
+    """A pattern compiled for the matcher.
 
-    `order` and `prev_positions` are the matcher's walk (`_embedding_order`
-    with no pins); `smaller_positions[i]` lists the earlier positions whose
-    host node must be smaller than the host of `order[i]`. `divisor` is 1
-    when those constraints are certified and |Aut| when there are none.
+    `order` holds the non-pinned nodes; `prev_positions[i]` lists the
+    positions in (pins + order) of the placed neighbors of `order[i]`, and
+    `smaller_positions[i]` the earlier positions whose host must be smaller
+    than its host. `divisor` is |Aut| when a subgraph plan has no certified
+    constraints, else 1.
     """
 
     pattern: Pattern
@@ -92,17 +65,38 @@ class _Plan:
     divisor: int
 
 
+def _walk(p: Pattern, pinned: tuple[int, ...] = ()) -> _Plan:
+    """Unconstrained plan: a greedy order over the non-pinned nodes.
+
+    Nodes with more already-placed neighbors come first (their candidate
+    sets are tighter), ties broken by degree then by index.
+    """
+    g = p.graph
+    placed = list(pinned)
+    while len(placed) < g.n:
+        placed.append(max(
+            (v for v in range(g.n) if v not in placed),
+            key=lambda v: (sum(u in placed for u in g.neighbor_lists[v]),
+                           g.degrees[v], -v)))
+    order = tuple(placed[len(pinned):])
+    prev_positions = tuple(
+        tuple(placed.index(u) for u in g.neighbor_lists[v]
+              if u in placed[:len(pinned) + i])
+        for i, v in enumerate(order))
+    return _Plan(p, order, prev_positions, ((),) * len(order), 1)
+
+
 def _compile(p: Pattern) -> _Plan:
-    """Plan for counting `p`: |Aut|, the matcher's order, and the
-    symmetry-breaking constraints if the refinement chain certifies them."""
+    """Plan for counting `p`: the walk plus the symmetry-breaking
+    constraints if the refinement chain certifies them, else divisor |Aut|."""
     g = p.graph
     aut = automorphism_count(g)
-    order, prev_positions = _embedding_order(p, ())
-    position = {v: i for i, v in enumerate(order)}
-    smaller: list[list[int]] = [[] for _ in order]
+    walk = _walk(p)
+    position = {v: i for i, v in enumerate(walk.order)}
+    smaller: list[list[int]] = [[] for _ in walk.order]
     colors = _refine_colors(g.n, g.neighbor_lists, [0] * g.n)
     product = 1
-    for i, v in enumerate(order):
+    for i, v in enumerate(walk.order):
         if len(set(colors)) == g.n:
             break
         # earlier nodes are individualized, so the rest of the cell is later
@@ -112,53 +106,28 @@ def _compile(p: Pattern) -> _Plan:
             if u != v:
                 smaller[position[u]].append(i)
         colors = _refine_colors(g.n, g.neighbor_lists, _individualize(colors, v))
-    order, prev_positions = tuple(order), tuple(map(tuple, prev_positions))
     if product != aut:
-        return _Plan(p, order, prev_positions, ((),) * len(order), aut)
-    return _Plan(p, order, prev_positions, tuple(map(tuple, smaller)), 1)
+        return replace(walk, divisor=aut)
+    return replace(walk, smaller_positions=tuple(map(tuple, smaller)))
 
 
-def _count_embeddings(g: Graph, p: Pattern,
-                      pins: Mapping[int, int] | None = None,
-                      plan: _Plan | None = None) -> int:
-    """Number of injective edge-preserving maps pattern -> host extending
-    pins; with a plan (and no pins), only those meeting its constraints."""
-    k = p.graph.n
-    pins = dict(pins or {})
-    for pv, hv in pins.items():
-        if not (0 <= pv < k):
-            raise InputError(f"pinned pattern node {pv} out of range")
-        if not (0 <= hv < g.n):
-            raise InputError(f"pinned host node {hv} out of range")
-    if len(set(pins.values())) < len(pins):
+def _count_embeddings(g: Graph, plan: _Plan, pins: tuple[int, ...] = ()) -> int:
+    """Number of injective edge-preserving maps of the plan's pattern into
+    `g` that send its pinned nodes onto the distinct host nodes `pins`,
+    whose adjacency the caller has checked, and meet its constraints."""
+    if plan.pattern.k > g.n:
         return 0
-    # pinned adjacency must already hold among the pins
-    pin_items = sorted(pins.items())
-    for (pv1, hv1), (pv2, hv2) in itertools.combinations(pin_items, 2):
-        if p.graph.adj[pv1, pv2] and not g.adj[hv1, hv2]:
-            return 0
-    if k - len(pins) > g.n - len(pins):
-        return 0
-    if k == len(pins):
+    order, prev_positions = plan.order, plan.prev_positions
+    smaller_positions = plan.smaller_positions
+    depth = len(order)
+    if not depth:
         return 1
-    if plan is None:
-        order, prev_positions = _embedding_order(
-            p, tuple(pv for pv, _ in pin_items))
-        smaller_positions = [()] * len(order)
-    else:
-        order, prev_positions = plan.order, plan.prev_positions
-        smaller_positions = plan.smaller_positions
-    pdeg = p.graph.degrees
+    pdeg = plan.pattern.graph.degrees
     gdeg = g.degrees
     masks = g.neighbor_masks
-    full_hosts = [hv for _, hv in pin_items]
     all_mask = (1 << g.n) - 1
-    used0 = 0
-    for hv in full_hosts:
-        used0 |= 1 << hv
-    depth = len(order)
-    base = len(pin_items)
-    hosts = full_hosts + [0] * depth
+    base = len(pins)
+    hosts = list(pins) + [0] * depth
 
     def dfs(i: int, used: int) -> int:
         v = order[i]
@@ -182,12 +151,12 @@ def _count_embeddings(g: Graph, p: Pattern,
                 count += dfs(i + 1, used | low)
         return count
 
-    return dfs(0, used0)
+    return dfs(0, sum(1 << h for h in pins))
 
 
 def count_injective_homs(g: Graph, p: Pattern) -> int:
     """Injective edge-preserving maps pattern -> host (labeled placements)."""
-    return _count_embeddings(g, p)
+    return _count_embeddings(g, _walk(p))
 
 
 def count_subgraphs(g: Graph, p: Pattern, plan: _Plan | None = None) -> int:
@@ -199,7 +168,7 @@ def count_subgraphs(g: Graph, p: Pattern, plan: _Plan | None = None) -> int:
     """
     if plan is None:
         plan = _compile(p)
-    found = _count_embeddings(g, p, plan=plan)
+    found = _count_embeddings(g, plan)
     if found % plan.divisor:
         raise ContractError(
             f"injective map count {found} not divisible by |Aut| = {plan.divisor}")
@@ -215,7 +184,9 @@ def count_rooted(g: Graph, i: int, j: int, p: Pattern) -> int:
     if i == j:
         raise InputError("root nodes must be distinct")
     c, d = p.marks
-    return _count_embeddings(g, p, pins={c: i, d: j})
+    if p.graph.adj[c, d] and not g.adj[i, j]:
+        return 0
+    return _count_embeddings(g, _walk(p, (c, d)), (i, j))
 
 
 def naive_count_oracle(g: Graph, p: Pattern) -> int:
@@ -274,10 +245,6 @@ class CountDistribution:
         }
 
 
-def _graph_counts(g: Graph, plans: tuple[_Plan, ...]) -> tuple[int, ...]:
-    return tuple(count_subgraphs(g, plan.pattern, plan) for plan in plans)
-
-
 def count_table(graphs: Sequence[Graph], patterns: Sequence[Pattern],
                 threads: int = 1) -> list[list[int]]:
     """Subgraph counts of every pattern in every graph, in one worker pool.
@@ -288,7 +255,10 @@ def count_table(graphs: Sequence[Graph], patterns: Sequence[Pattern],
     """
     if not graphs:
         raise InputError("no graphs to count")
-    plans = tuple(_compile(p) for p in patterns)
-    rows = ordered_map(partial(_graph_counts, plans=plans), graphs,
-                       threads=threads)
+    plans = [_compile(p) for p in patterns]
+
+    def graph_counts(g: Graph) -> list[int]:
+        return [count_subgraphs(g, plan.pattern, plan) for plan in plans]
+
+    rows = ordered_map(graph_counts, graphs, threads=threads)
     return [list(column) for column in zip(*rows)]

@@ -184,8 +184,7 @@ class ScoreConfig:
 def perturb(graph: Graph, t: float, sched: NoiseSchedule, rng) -> np.ndarray:
     """Forward-process sample: alpha_t*A0 plus mirrored Gaussian edge noise."""
     alpha, beta = sched.alpha_beta(t)
-    n = graph.n
-    noise = symmetric_from_upper(rng.standard_normal(n * (n - 1) // 2), n)
+    noise = random_symmetric(graph.n, rng)
     return alpha * graph.adj.astype(np.float64) + beta * noise
 
 
@@ -404,7 +403,7 @@ class ScoreOracle:
             rng = np.random.default_rng(self.cfg.seed)
         sched = self.sched
         n = self.n
-        slots = n * (n - 1) // 2
+        slots = self.num_edge_slots
         w = rng.standard_normal(slots)
         h = (sched.t_max - sched.t_min) / steps
         for step in range(steps):
@@ -468,8 +467,7 @@ class BasisExpansionReport:
         }
 
 
-def verify_basis_expansion(W, k: int, dataset: Dataset,
-                           cfg: ScoreConfig | None = None) -> BasisExpansionReport:
+def verify_basis_expansion(W, k: int, dataset: Dataset) -> BasisExpansionReport:
     """Check the order-k term of the series score against its polynomial form.
 
     Moment side: averages over every (training graph, permutation) pair of

@@ -13,7 +13,8 @@ nodes and cliques refine to discrete colorings at once. The canonical
 ordering is the search leaf with the smallest adjacency encoding, so equal
 ``canonical_form`` bytes is the isomorphism test; |Aut| is the product of
 the |class|! times the number of leaves that tie it. Symmetry between
-non-twin parts stays exponential: k disjoint edges give k! leaves.
+non-twin parts stays exponential: k disjoint edges give k! leaves, so a
+search past ``SYMMETRY_SIGNATURE_CAP`` refinement signatures is refused.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .errors import CapacityError, InputError
 # counting refuses anything larger instead of silently taking forever.
 PATTERN_NODE_CAP = 12
 AUTOMORPHISM_NODE_CAP = 12
+# Refinement signatures (n per pass) one symmetry search may build, about
+# 1-2 s of work: 6 disjoint edges take 21k, 7 take 172k, 8 take 1.57M.
+SYMMETRY_SIGNATURE_CAP = 500_000
 
 
 class Graph:
@@ -178,10 +182,12 @@ class Dataset:
 
 
 def _refine_colors(n: int, neighbors: Sequence[Sequence[int]],
-                   colors: Sequence[int]) -> list[int]:
+                   colors: Sequence[int], budget: list[int] | None = None
+                   ) -> list[int]:
     """Iterate neighborhood-multiset refinement to a stable, canonically
     numbered coloring. Color ids depend only on the isomorphism type of the
-    colored graph, never on the input numbering."""
+    colored graph, never on the input numbering. Each pass spends n from
+    `budget`, a one-item list, if given, and raises CapacityError past 0."""
     cur = list(colors)
     while True:
         if len(set(cur)) == n:
@@ -189,6 +195,12 @@ def _refine_colors(n: int, neighbors: Sequence[Sequence[int]],
             # dense ranking one or two passes later
             ranking = {c: r for r, c in enumerate(sorted(cur))}
             return [ranking[c] for c in cur]
+        if budget is not None:
+            budget[0] -= n
+            if budget[0] < 0:
+                raise CapacityError(
+                    f"symmetry search of a {n}-node graph passed its cap of"
+                    f" {SYMMETRY_SIGNATURE_CAP} refinement signatures")
         sigs = [(cur[v], tuple(sorted(cur[u] for u in neighbors[v])))
                 for v in range(n)]
         ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
@@ -245,13 +257,14 @@ def _symmetry_search(g: Graph, colors0: Sequence[int]
         for rank, v in enumerate(cls):
             colors[v] += rank
     neighbors = g.neighbor_lists
+    budget = [SYMMETRY_SIGNATURE_CAP]
     best_key = best_order = None
     leaves = 0
     pending = [colors]
     while pending:
         colors = pending.pop()
         while True:
-            colors = _refine_colors(n, neighbors, colors)
+            colors = _refine_colors(n, neighbors, colors, budget)
             by_color: dict[int, list[int]] = {}
             for v, c in enumerate(colors):
                 by_color.setdefault(c, []).append(v)

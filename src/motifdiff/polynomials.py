@@ -220,7 +220,7 @@ class MonomialGraph:
     multi_edges: tuple[tuple[int, int], ...]
 
 
-def monomial_graph(t: IndexTuple, root_edge: bool = True) -> MonomialGraph:
+def monomial_graph(t: IndexTuple) -> MonomialGraph:
     degenerate = any(t.entries[i] == t.entries[i + 1]
                      for i in range(0, len(t.entries), 2))
     if t.roots is not None and t.roots[0] == t.roots[1]:
@@ -237,8 +237,7 @@ def monomial_graph(t: IndexTuple, root_edge: bool = True) -> MonomialGraph:
     marks = None
     if t.roots is not None:
         marks = (0, 1)
-        if root_edge:
-            simple.add((0, 1))
+        simple.add((0, 1))
     g = Graph.from_edges(k_nodes, sorted(simple))
     return MonomialGraph(vanishing=False,
                          pattern=Pattern(g, marks=marks),

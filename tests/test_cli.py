@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from motifdiff import graphs
 from motifdiff.cli import _default_threads, main
 from motifdiff.dataio import read_dataset, write_dataset
 from motifdiff.diffusion import ScoreOracle
@@ -276,6 +277,24 @@ def test_eval_with_isolated_nodes_finishes(tmp_path):
         capture_output=True, text=True, timeout=60, env=src_env())
     assert done.returncode == 0, done.stderr
     assert json.loads(out.read_text())["novelty"] == 1.0
+
+
+def test_eval_past_symmetry_search_cap_exits_2(tmp_path, monkeypatch, capsys):
+    # novelty canonicalizes every graph; 5 disjoint edges build 2,910
+    # refinement signatures, past a cap lowered to 1,000
+    five_edges = json.dumps({"n": 10, "edges": [[2 * i + 1, 2 * i + 2]
+                                                for i in range(5)]})
+    train = tmp_path / "train.jsonl"
+    train.write_text('{"n": 3, "edges": [[1, 2], [2, 3], [1, 3]]}\n')
+    gen = tmp_path / "gen.jsonl"
+    gen.write_text(five_edges + "\n")
+    out = tmp_path / "eval.json"
+    argv = ["eval", "--train", str(train), "--gen", str(gen), "--patterns",
+            "c3", "--threads", "1", "--out", str(out)]
+    monkeypatch.setattr(graphs, "SYMMETRY_SIGNATURE_CAP", 1000)
+    assert run(argv) == 2
+    assert "refinement signatures" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_over_oracle_byte_cap_exits_2(tmp_path):

@@ -11,6 +11,7 @@ from motifdiff.errors import CapacityError, ContractError, InputError
 from motifdiff.graphs import Dataset, Graph, Pattern
 from motifdiff.patterns import (PATTERN_LIBRARY, derive_marked_patterns,
                                 fused_cycles_graph, get_pattern)
+from motifdiff.polynomials import pinned_monomial_matrix
 
 from conftest import complete_graph, make_random_graph
 
@@ -110,6 +111,25 @@ def test_rooted_frozen_on_cycle():
     assert count_rooted(g, 0, 1, marked) == 1
     assert count_rooted(g, 1, 0, marked) == 1
     assert count_rooted(g, 0, 2, marked) == 0
+
+
+def test_rooted_counts_with_adjacent_marks():
+    # the marks of c4 rooted at (0, 1) are adjacent, so non-adjacent roots
+    # give 0; the marked edge has no node left to place. Both count against
+    # the exact pinned monomial sums over the host adjacency
+    rng = np.random.default_rng(11)
+    patterns = [Pattern(cycle(4), marks=(0, 1)),
+                Pattern(Graph.from_edges(2, [(0, 1)]), marks=(0, 1))]
+    for _ in range(12):
+        g = make_random_graph(int(rng.integers(4, 8)), 0.5, rng)
+        adj = g.adj.astype(np.int64)
+        for p in patterns:
+            c, d = p.marks
+            expected = pinned_monomial_matrix(adj, p.k, p.graph.edge_list, c, d)
+            for i in range(g.n):
+                for j in range(g.n):
+                    if i != j:
+                        assert count_rooted(g, i, j, p) == expected[i, j], (p, i, j)
 
 
 def test_rooted_sums_to_injective_homs():

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from motifdiff import graphs
 from motifdiff.errors import CapacityError, InputError
 from motifdiff.graphs import (Dataset, Graph, Pattern, _refine_colors,
                               _symmetry_search, automorphism_count,
@@ -225,6 +226,21 @@ def test_refine_colors_returns_dense_ranking_of_discrete_coloring():
 
     assert _refine_colors(5, Unread(), colors) == dense
     assert _refine_colors(0, Unread(), []) == []
+
+
+def test_symmetry_search_refuses_past_its_signature_cap(monkeypatch):
+    # 5 disjoint edges give 5! leaves and 2,910 refinement signatures, the
+    # 12-cycle 2,028; under a cap of 1,000 both searches are refused, and
+    # a graph that refines to discrete colorings at once still passes
+    five_edges = Graph.from_edges(10, [(2 * i, 2 * i + 1) for i in range(5)])
+    assert automorphism_count(five_edges) == 2 ** 5 * math.factorial(5)
+    monkeypatch.setattr(graphs, "SYMMETRY_SIGNATURE_CAP", 1000)
+    with pytest.raises(CapacityError, match="refinement signatures"):
+        canonical_form(five_edges)
+    with pytest.raises(CapacityError):
+        automorphism_count(cycle(12))
+    one_edge = Graph.from_edges(1000, [(0, 1)])
+    assert _symmetry_search(one_edge, (0,) * 1000)[2] == 2 * math.factorial(998)
 
 
 def test_automorphism_cap():

@@ -157,10 +157,6 @@ def test_monomial_graph_root_edge_handling():
     mg2 = monomial_graph(IndexTuple(entries=(0, 1), roots=(0, 1)))
     assert mg2.pattern.graph.edge_list == ((0, 1),)
     assert mg2.multi_edges == ((0, 1),)
-    # and root_edge=False leaves the marks non-adjacent
-    mg3 = monomial_graph(IndexTuple(entries=(2, 3), roots=(0, 1)),
-                         root_edge=False)
-    assert mg3.pattern.graph.edge_list == ((2, 3),)
 
 
 def test_monomial_graph_collapses_with_multiplicity():
