@@ -16,9 +16,7 @@ from .graphs import (Dataset, Graph, Pattern, automorphism_count,
                      marked_canonical_form)
 from .patterns import (PATTERN_LIBRARY, PATTERN_NAMES, derive_marked_patterns,
                        get_pattern, resolve_patterns)
-from .polynomials import (IndexTuple, MonomialGraph, equivariant_basis,
-                          invariant_basis, invariant_monomial_sum,
-                          monomial_graph, monomial_sum,
+from .polynomials import (equivariant_basis, invariant_basis, monomial_sum,
                           pinned_monomial_matrix)
 
 __version__ = "0.1.0"
@@ -26,15 +24,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisExpansionReport", "CapacityError", "ContractError",
     "CountDistribution", "Dataset", "EvalReport", "GenerationError", "Graph",
-    "IndexTuple", "InputError", "MonomialGraph", "MotifdiffError",
+    "InputError", "MotifdiffError",
     "NoiseSchedule", "NumericalRegimeError", "PATTERN_LIBRARY",
     "PATTERN_NAMES", "Pattern", "ScoreConfig", "ScoreOracle",
     "SeriesDivergenceError", "automorphism_count",
     "canonical_form", "count_injective_homs", "count_rooted",
     "count_subgraphs", "count_table", "derive_marked_patterns",
     "equivariant_basis", "evaluate", "get_pattern", "graph_from_edge_list",
-    "invariant_basis", "invariant_monomial_sum",
-    "marked_canonical_form", "monomial_graph", "monomial_sum",
+    "invariant_basis", "marked_canonical_form", "monomial_sum",
     "naive_count_oracle", "novelty_ratio",
     "perturb", "pinned_monomial_matrix", "plant_pattern_dataset", "quantize",
     "read_dataset", "resolve_patterns", "tv_distance",

@@ -34,8 +34,8 @@ import numpy as np
 from .errors import (CapacityError, InputError, NumericalRegimeError,
                      SeriesDivergenceError)
 from .graphs import Dataset, Graph
-from .polynomials import (IndexTuple, first_occurrence_relabel, monomial_graph,
-                          monomial_sum, pinned_monomial_matrix)
+from .polynomials import (_expansion_terms, monomial_sum,
+                          pinned_monomial_matrix)
 
 # Below this noise level the mixture components are numerically disjoint and
 # the posterior weights degenerate; refuse rather than return garbage.
@@ -453,19 +453,6 @@ class BasisExpansionReport:
     def max_discrepancy(self) -> float:
         return max(self.f_discrepancy, self.g_discrepancy)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "n": self.n,
-            "f_moment": self.f_moment.tolist(),
-            "f_basis": self.f_basis.tolist(),
-            "g_moment": self.g_moment,
-            "g_basis": self.g_basis,
-            "f_discrepancy": self.f_discrepancy,
-            "g_discrepancy": self.g_discrepancy,
-            "max_discrepancy": self.max_discrepancy,
-        }
-
 
 def verify_basis_expansion(W, k: int, dataset: Dataset) -> BasisExpansionReport:
     """Check the order-k term of the series score against its polynomial form.
@@ -510,53 +497,30 @@ def verify_basis_expansion(W, k: int, dataset: Dataset) -> BasisExpansionReport:
     nfact = factorial(n)
     mean_inv_cache: dict = {}
 
-    def mean_invariant(graph: Graph) -> float:
-        # dataset average of the invariant polynomial on binary adjacencies
-        key = (graph.n, graph.edge_list)
-        if key not in mean_inv_cache:
-            total = 0.0
-            for g in graphs:
-                total += monomial_sum(g.adj.astype(np.float64), graph.n,
-                                      graph.edge_list)
-            mean_inv_cache[key] = total / (len(graphs) * nfact)
-        return mean_inv_cache[key]
+    def weighted_terms(length: int, rooted: bool):
+        # one (weight, node count, multi edges) per tuple group with a
+        # nonzero coefficient: multiplicity times the completion factorial
+        # times the dataset average of the collapsed pattern's invariant
+        for mult, kp, simple, multi in _expansion_terms(n, length, rooted):
+            key = (kp, simple)
+            if key not in mean_inv_cache:
+                total = 0.0
+                for g in graphs:
+                    total += monomial_sum(g.adj.astype(np.float64), kp, simple)
+                mean_inv_cache[key] = total / (len(graphs) * nfact)
+            coeff = factorial(n - kp) * mean_inv_cache[key]
+            if coeff != 0.0:
+                yield mult * coeff, kp, multi
 
-    # basis side: group index tuples by their first-occurrence relabeling;
-    # tuples sharing a relabeling contribute identical terms
-    f_keys: dict[tuple, int] = {}
-    for i in range(n):
-        for j in range(n):
-            for a in itertools.product(range(n), repeat=2 * k):
-                key = first_occurrence_relabel((i, j) + a)
-                f_keys[key] = f_keys.get(key, 0) + 1
+    # basis side: tuples sharing a relabeling contribute identical terms
     f_basis = np.zeros((n, n), dtype=np.float64)
-    for key, mult in f_keys.items():
-        mg = monomial_graph(IndexTuple(entries=key[2:], roots=key[:2]))
-        if mg.vanishing:
-            continue
-        kp = mg.pattern.graph.n
-        coeff = factorial(n - kp) * mean_invariant(mg.pattern.graph)
-        if coeff == 0.0:
-            continue
-        raw = pinned_monomial_matrix(arr, kp, mg.multi_edges, 0, 1)
-        equi = raw * (factorial(n - kp) / nfact)
-        f_basis += (mult * coeff) * equi
-
-    g_keys: dict[tuple, int] = {}
-    for a in itertools.product(range(n), repeat=2 * k):
-        key = first_occurrence_relabel(a)
-        g_keys[key] = g_keys.get(key, 0) + 1
+    for weight, kp, multi in weighted_terms(2 * k + 2, rooted=True):
+        raw = pinned_monomial_matrix(arr, kp, multi, 0, 1)
+        f_basis += weight * (raw * (factorial(n - kp) / nfact))
     g_basis = 0.0
-    for key, mult in g_keys.items():
-        mg = monomial_graph(IndexTuple(entries=key))
-        if mg.vanishing:
-            continue
-        kp = mg.pattern.graph.n
-        coeff = factorial(n - kp) * mean_invariant(mg.pattern.graph)
-        if coeff == 0.0:
-            continue
-        inv = factorial(n - kp) * monomial_sum(arr, kp, mg.multi_edges) / nfact
-        g_basis += mult * coeff * inv
+    for weight, kp, multi in weighted_terms(2 * k, rooted=False):
+        g_basis += weight * (factorial(n - kp) * monomial_sum(arr, kp, multi)
+                             / nfact)
 
     return BasisExpansionReport(order=k, n=n, f_moment=f_moment,
                                 f_basis=f_basis, g_moment=g_moment,

@@ -13,32 +13,43 @@ input they are the monomial bases the score decomposition is written in.
 
 The raw helpers (``monomial_sum``, ``pinned_monomial_matrix``) take explicit
 edge lists that may repeat a pair; repeats multiply the factor in, which is
-what the moment expansion needs on the real-matrix side. ``monomial_graph``
-turns an index tuple from that expansion into its collapsed simple pattern
-(for the binary side) plus the multiplicity-preserving edge list (for the
-real side).
+what the moment expansion needs on the real-matrix side. The expansion's
+index tuples are grouped by their first-occurrence relabeling; each group
+gives one collapsed simple pattern (counted on the binary side) and one
+pair list with multiplicity kept (evaluated on the real side).
+
+Every evaluation enumerates the n!/(n-k)! injective assignments of the
+pattern's nodes, so it is refused past ``ASSIGNMENT_CAP`` of them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import Counter
 from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
 from .errors import CapacityError, ContractError, InputError
-from .graphs import Graph, Pattern
+from .graphs import Pattern
 
 # Basis evaluation enumerates n!/(n-k)! assignments; the library contract
 # keeps pattern order small enough for that to stay desk scale.
 BASIS_PATTERN_CAP = 6
+# Largest assignment list one evaluation may build (k index columns each);
+# the brute-force counting oracle at its 9-host cap needs 9! = 362,880.
+ASSIGNMENT_CAP = 10**6
 
 
 @lru_cache(maxsize=64)
 def _injective_assignments(n: int, k: int) -> np.ndarray:
+    count = math.perm(n, k)
+    if count > ASSIGNMENT_CAP:
+        raise CapacityError(
+            f"{k}-node monomials on {n} nodes need {count:,} injective"
+            f" assignments; capped at {ASSIGNMENT_CAP:,}")
     perms = list(itertools.permutations(range(n), k))
     arr = np.array(perms, dtype=np.intp).reshape(len(perms), k)
     arr.setflags(write=False)
@@ -125,16 +136,6 @@ def _require_basis_pattern(p: Pattern, marked: bool) -> None:
             f" got {p.k}")
 
 
-def invariant_monomial_sum(W, p: Pattern) -> int | float:
-    """Unnormalized invariant: the raw injective sum for the pattern's edges.
-
-    On a binary adjacency this equals |Aut| times the subgraph count, exactly
-    (integer arithmetic).
-    """
-    _require_basis_pattern(p, marked=False)
-    return monomial_sum(W, p.k, p.graph.edge_list)
-
-
 def invariant_basis(W, p: Pattern) -> float:
     """Permutation-invariant basis polynomial: raw injective sum over n!."""
     _require_basis_pattern(p, marked=False)
@@ -167,30 +168,6 @@ def equivariant_basis(W, p: Pattern) -> np.ndarray:
 # index tuples of the moment expansion
 
 
-@dataclass(frozen=True)
-class IndexTuple:
-    """A flattened tuple of node indices (u1, v1, u2, v2, ...), optionally
-    with a distinguished root pair. Repeated and equal indices are allowed;
-    degenerate pairs make the associated term vanish rather than erroring."""
-
-    entries: tuple[int, ...]
-    roots: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        entries = tuple(int(x) for x in self.entries)
-        if len(entries) % 2:
-            raise InputError("entries must pair up (even length)")
-        object.__setattr__(self, "entries", entries)
-        if self.roots is not None:
-            r = tuple(int(x) for x in self.roots)
-            if len(r) != 2:
-                raise InputError("roots must be a pair")
-            object.__setattr__(self, "roots", r)
-
-    def scan_order(self) -> tuple[int, ...]:
-        return (self.roots or ()) + self.entries
-
-
 def first_occurrence_relabel(seq) -> tuple[int, ...]:
     """Canonical relabeling by order of first occurrence: (3,1,3,7) -> (0,1,0,2)."""
     mapping: dict[int, int] = {}
@@ -202,43 +179,25 @@ def first_occurrence_relabel(seq) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
-class MonomialGraph:
-    """What an index tuple contributes to the moment expansion.
+def _expansion_terms(n: int, length: int, rooted: bool):
+    """Group the index tuples of one moment-expansion term.
 
-    `pattern` is the collapsed simple graph on the tuple's distinct labels
-    (first-occurrence relabeled, roots at (0, 1) and marked when present);
-    it is what gets counted on the binary side. `multi_edges` is the
-    relabeled pair list with multiplicity kept, the monomial evaluated on
-    the real side; the root pair is not an element of it unless the tuple
-    itself repeats it. Degenerate tuples (a pair or the root hitting a
-    single node) produce vanishing=True and no pattern.
+    Every tuple in ``product(range(n), repeat=length)`` is read as pairs
+    (u1, v1, u2, v2, ...) and grouped by its first-occurrence relabeling, in
+    first-seen order. For each group whose tuples do not vanish (no pair on
+    a single node) this yields (multiplicity, node count, simple edges,
+    multi edges): the sorted edge set of the collapsed pattern, counted on
+    the binary side, and the sorted pair list with multiplicity kept, the
+    monomial evaluated on the real side. When `rooted`, the first pair is
+    the root pair (0, 1): an edge of the simple pattern, but a monomial
+    factor only when a later pair repeats it.
     """
-
-    vanishing: bool
-    pattern: Pattern | None
-    multi_edges: tuple[tuple[int, int], ...]
-
-
-def monomial_graph(t: IndexTuple) -> MonomialGraph:
-    degenerate = any(t.entries[i] == t.entries[i + 1]
-                     for i in range(0, len(t.entries), 2))
-    if t.roots is not None and t.roots[0] == t.roots[1]:
-        degenerate = True
-    if degenerate:
-        return MonomialGraph(vanishing=True, pattern=None, multi_edges=())
-    relabeled = first_occurrence_relabel(t.scan_order())
-    k_nodes = len(set(relabeled))
-    offset = 2 if t.roots is not None else 0
-    pairs = [(relabeled[offset + i], relabeled[offset + i + 1])
-             for i in range(0, len(t.entries), 2)]
-    pairs = [(min(a, b), max(a, b)) for a, b in pairs]
-    simple = set(pairs)
-    marks = None
-    if t.roots is not None:
-        marks = (0, 1)
-        simple.add((0, 1))
-    g = Graph.from_edges(k_nodes, sorted(simple))
-    return MonomialGraph(vanishing=False,
-                         pattern=Pattern(g, marks=marks),
-                         multi_edges=tuple(sorted(pairs)))
+    groups = Counter(first_occurrence_relabel(t)
+                     for t in itertools.product(range(n), repeat=length))
+    for key, mult in groups.items():
+        pairs = [(min(a, b), max(a, b)) for a, b in zip(key[::2], key[1::2])]
+        if any(a == b for a, b in pairs):
+            continue
+        simple = tuple(sorted(set(pairs)))
+        factors = pairs[1:] if rooted else pairs
+        yield mult, len(set(key)), simple, tuple(sorted(factors))

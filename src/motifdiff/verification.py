@@ -20,8 +20,7 @@ from .diffusion import (NoiseSchedule, ScoreConfig, ScoreOracle,
 from .errors import InputError
 from .graphs import Dataset, Graph, Pattern, automorphism_count
 from .patterns import PATTERN_LIBRARY, derive_marked_patterns
-from .polynomials import (equivariant_basis, invariant_basis,
-                          invariant_monomial_sum)
+from .polynomials import equivariant_basis, invariant_basis, monomial_sum
 
 SUITE_NAMES = ("count-identity", "finitediff", "series", "basis",
                "equivariance")
@@ -29,6 +28,10 @@ SUITE_NAMES = ("count-identity", "finitediff", "series", "basis",
 
 def _report(suite: str, checks: int, failures: list, max_error: float,
             tolerance: float, params: dict) -> dict:
+    # a self-check that checked nothing would read as a pass
+    if checks == 0:
+        raise InputError(f"suite {suite} ran no checks: its trial count,"
+                         " sizes or orders select none")
     return {
         "suite": suite,
         "passed": not failures,
@@ -52,6 +55,8 @@ def run_count_identity(n_max: int = 6, trials: int = 200, seed: int = 0) -> dict
     Both sides are exact integers, so the tolerance is zero and any mismatch
     is a hard failure.
     """
+    if n_max < 2:
+        raise InputError(f"count-identity needs n_max >= 2, got {n_max}")
     rng = np.random.default_rng(seed)
     patterns = [p for p in PATTERN_LIBRARY.values() if p.k <= 6]
     compiled = [(p, automorphism_count(p.graph), _compile(p)) for p in patterns]
@@ -62,7 +67,7 @@ def run_count_identity(n_max: int = 6, trials: int = 200, seed: int = 0) -> dict
         g = _random_graph(n, float(rng.uniform(0.15, 0.7)), rng)
         adj = g.adj.astype(np.int64)
         for p, aut, plan in compiled:
-            lhs = invariant_monomial_sum(adj, p)
+            lhs = monomial_sum(adj, p.k, p.graph.edge_list)
             rhs = aut * count_subgraphs(g, p, plan)
             checks += 1
             if lhs != rhs:
@@ -168,6 +173,8 @@ def run_basis(seed: int = 0, tolerance: float = 1e-9,
               n_values: tuple[int, ...] = (3, 4),
               orders: tuple[int, ...] = (0, 1, 2, 3)) -> dict:
     """Moment form versus basis-polynomial form, order by order."""
+    if any(n < 1 for n in n_values):
+        raise InputError(f"basis needs n >= 1, got {list(n_values)}")
     rng = np.random.default_rng(seed)
     checks = 0
     max_disc = 0.0

@@ -61,7 +61,3 @@ def test_report_accessors():
     assert rep.f_discrepancy == pytest.approx(0.5)
     assert rep.g_discrepancy == pytest.approx(0.25)
     assert rep.max_discrepancy == pytest.approx(0.5)
-    d = rep.to_json_dict()
-    assert d["order"] == 1
-    assert d["f_basis"] == [[0.0, 1.5], [1.0, 0.0]]
-    assert d["max_discrepancy"] == pytest.approx(0.5)

@@ -239,6 +239,34 @@ def test_verify_rejects_flags_the_suite_does_not_read(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--suite", "count-identity", "--n", "1"],
+    ["--suite", "count-identity", "--n", "-3"],
+    ["--suite", "basis", "--n", "0"],
+    ["--suite", "count-identity", "--trials", "0"],
+    ["--suite", "series", "--trials", "0"],
+    ["--suite", "equivariance", "--n", "0"],
+    ["--suite", "equivariance", "--n", "1"],
+    ["--suite", "equivariance", "--trials", "-3"],
+    ["--suite", "basis", "--k", "-1"],
+])
+def test_verify_out_of_range_flags_exit_2(argv, tmp_path, capsys):
+    # a self-check that crashes or checks nothing is a usage error, not a
+    # failed (exit 1) or passed (exit 0) suite
+    out = tmp_path / "v.json"
+    assert run(["verify", *argv, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_past_assignment_cap_exits_2(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert run(["verify", "--suite", "count-identity", "--n", "30",
+                "--out", str(out)]) == 2
+    assert "injective assignments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_unknown_suite_is_a_usage_error():
     with pytest.raises(SystemExit):
         run(["verify", "--suite", "everything"])

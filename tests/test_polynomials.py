@@ -10,9 +10,8 @@ from motifdiff.counting import count_rooted, count_subgraphs
 from motifdiff.errors import CapacityError, ContractError, InputError
 from motifdiff.graphs import Graph, Pattern, automorphism_count
 from motifdiff.patterns import PATTERN_LIBRARY, derive_marked_patterns
-from motifdiff.polynomials import (IndexTuple, equivariant_basis,
+from motifdiff.polynomials import (_expansion_terms, equivariant_basis,
                                    first_occurrence_relabel, invariant_basis,
-                                   invariant_monomial_sum, monomial_graph,
                                    monomial_sum, pinned_monomial_matrix)
 
 from conftest import complete_graph, make_random_graph
@@ -58,7 +57,7 @@ def test_invariant_sum_equals_aut_times_count():
         g = make_random_graph(int(rng.integers(2, 7)), 0.5, rng)
         for name in ("c3", "c4", "l5"):
             p = PATTERN_LIBRARY[name]
-            raw = invariant_monomial_sum(g.adj.astype(np.int64), p)
+            raw = monomial_sum(g.adj.astype(np.int64), p.k, p.graph.edge_list)
             assert raw == automorphism_count(p.graph) * count_subgraphs(g, p)
 
 
@@ -126,46 +125,34 @@ def test_pinned_matrix_validation():
     assert not out.any()
 
 
-def test_index_tuple_validation():
-    t = IndexTuple(entries=(2, 3, 2, 0), roots=(0, 1))
-    assert t.scan_order() == (0, 1, 2, 3, 2, 0)
-    assert IndexTuple(entries=()).scan_order() == ()
-    with pytest.raises(InputError):
-        IndexTuple(entries=(1, 2, 3))
-    with pytest.raises(InputError):
-        IndexTuple(entries=(), roots=(1, 2, 3))
-
-
 def test_first_occurrence_relabel():
     assert first_occurrence_relabel((3, 1, 3, 7)) == (0, 1, 0, 2)
     assert first_occurrence_relabel(()) == ()
 
 
 def test_monomial_graph_degenerate():
-    assert monomial_graph(IndexTuple(entries=(2, 2))).vanishing
-    assert monomial_graph(IndexTuple(entries=(0, 1), roots=(3, 3))).vanishing
+    # (2, 2) and the roots (3, 3) put a pair on one node: those tuples vanish,
+    # so only the 3 * 2 tuples of distinct pairs are left
+    assert list(_expansion_terms(3, 2, False)) == [(6, 2, ((0, 1),), ((0, 1),))]
+    rooted = list(_expansion_terms(4, 4, True))
+    assert sum(mult for mult, *_ in rooted) == (4 * 3) ** 2
+    assert all(simple[0] == (0, 1) for _, _, simple, _ in rooted)
 
 
 def test_monomial_graph_root_edge_handling():
-    # the root pair becomes a pattern edge but not a monomial factor
-    mg = monomial_graph(IndexTuple(entries=(2, 3), roots=(0, 1)))
-    assert not mg.vanishing
-    assert mg.pattern.marks == (0, 1)
-    assert mg.pattern.graph.edge_list == ((0, 1), (2, 3))
-    assert mg.multi_edges == ((2, 3),)
-    # unless the tuple itself repeats the root pair
-    mg2 = monomial_graph(IndexTuple(entries=(0, 1), roots=(0, 1)))
-    assert mg2.pattern.graph.edge_list == ((0, 1),)
-    assert mg2.multi_edges == ((0, 1),)
+    # the root pair becomes a pattern edge but not a monomial factor: the
+    # roots (0, 1) with entries (2, 3) are the 4! tuples of distinct nodes
+    terms = list(_expansion_terms(4, 4, True))
+    assert (24, 4, ((0, 1), (2, 3)), ((2, 3),)) in terms
+    # unless the tuple itself repeats the root pair: (0, 1, 0, 1) and
+    # (0, 1, 1, 0) each stand for 4 * 3 tuples
+    assert terms.count((12, 2, ((0, 1),), ((0, 1),))) == 2
 
 
 def test_monomial_graph_collapses_with_multiplicity():
-    t = IndexTuple(entries=(5, 9, 9, 5, 5, 9))
-    mg = monomial_graph(t)
-    assert mg.pattern.graph.n == 2
-    assert mg.pattern.graph.edge_list == ((0, 1),)
-    assert mg.multi_edges == ((0, 1), (0, 1), (0, 1))
-    assert mg.pattern.marks is None
+    # (5, 9, 9, 5, 5, 9) relabels to (0, 1, 1, 0, 0, 1), one of 10 * 9 tuples
+    terms = list(_expansion_terms(10, 6, False))
+    assert (90, 2, ((0, 1),), ((0, 1), (0, 1), (0, 1))) in terms
 
 
 def test_monomial_graph_agrees_with_direct_evaluation():
@@ -175,15 +162,41 @@ def test_monomial_graph_agrees_with_direct_evaluation():
     W = rng.standard_normal((n, n))
     W = W + W.T
     np.fill_diagonal(W, 0.0)
-    for entries in [(0, 1, 1, 2), (0, 1, 0, 1), (0, 1, 2, 3)]:
-        t = IndexTuple(entries=entries)
-        mg = monomial_graph(t)
-        k = mg.pattern.graph.n
-        got = monomial_sum(W, k, mg.multi_edges)
+    for mult, k, simple, multi in _expansion_terms(n, 4, False):
+        got = monomial_sum(W, k, multi)
         want = 0.0
         for hosts in itertools.permutations(range(n), k):
             prod = 1.0
-            for a, b in mg.multi_edges:
+            for a, b in multi:
                 prod *= W[hosts[a], hosts[b]]
             want += prod
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def _reference_term(key, rooted):
+    # the monomial and collapsed pattern of one relabeled tuple, pair by pair
+    pairs = [tuple(sorted(key[i:i + 2])) for i in range(0, len(key), 2)]
+    factors = pairs[1:] if rooted else pairs
+    return len(set(key)), tuple(sorted(set(pairs))), tuple(sorted(factors))
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_expansion_terms_match_brute_force_tally(rooted):
+    for n in range(1, 4):
+        for length in range(2 if rooted else 0, 7, 2):
+            tally: dict = {}
+            for t in itertools.product(range(n), repeat=length):
+                if any(t[i] == t[i + 1] for i in range(0, length, 2)):
+                    continue
+                key = first_occurrence_relabel(t)
+                tally[key] = tally.get(key, 0) + 1
+            want = [(mult, *_reference_term(key, rooted))
+                    for key, mult in tally.items()]
+            assert list(_expansion_terms(n, length, rooted)) == want
+
+
+def test_assignment_cap_refuses_before_enumerating():
+    with pytest.raises(CapacityError):
+        monomial_sum(np.zeros((20, 20), dtype=np.int64), 6, [])
+    with pytest.raises(CapacityError):
+        invariant_basis(np.zeros((20, 20)), PATTERN_LIBRARY["c6"])
