@@ -285,6 +285,7 @@ class ScoreOracle:
         # on 0/1 rows the row sum is the sum of squares, exactly
         self._ssq = templates.sum(axis=1, dtype=np.float64)
         self._ssq_min = float(self._ssq.min())
+        self._buf = np.empty_like(self._ssq)  # scratch for the step's logits
         self._log_total = math.log(total)
         self.num_templates = int(templates.shape[0])
         self.num_edge_slots = slots
@@ -299,8 +300,13 @@ class ScoreOracle:
         return alpha, beta
 
     def _logits(self, w: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+        # logmult + (alpha*ip - 0.5*alpha*alpha*ssq) / beta^2, the same
+        # operations in the same order, in place in the einsum's result
         ip = np.einsum("ve,e->v", self._V, w, optimize=False)
-        return self._logmult + (alpha * ip - 0.5 * alpha * alpha * self._ssq) / (beta * beta)
+        np.multiply(ip, alpha, out=ip)
+        np.subtract(ip, np.multiply(self._ssq, 0.5 * alpha * alpha, out=self._buf), out=ip)
+        np.divide(ip, beta * beta, out=ip)
+        return np.add(self._logmult, ip, out=ip)
 
     def _log_density_upper(self, w: np.ndarray, t: float) -> float:
         # imported here: scipy is slow to import and only density queries use it
@@ -316,9 +322,9 @@ class ScoreOracle:
     def _score_upper(self, w: np.ndarray, t: float) -> np.ndarray:
         alpha, beta = self._alpha_beta(t)
         logits = self._logits(w, alpha, beta)
-        logits = logits - logits.max()
-        weights = np.exp(logits)
-        weights = weights / weights.sum()
+        np.subtract(logits, logits.max(), out=logits)
+        weights = np.exp(logits, out=logits)
+        np.divide(weights, weights.sum(), out=weights)
         posterior_mean = np.einsum("v,ve->e", weights, self._V, optimize=False)
         b2 = beta * beta
         return -w / b2 + (alpha / b2) * posterior_mean

@@ -43,15 +43,16 @@ BASIS_PATTERN_CAP = 6
 ASSIGNMENT_CAP = 10**6
 
 
-@lru_cache(maxsize=64)
+# a few entries: one near the cap is up to 48 MB
+@lru_cache(maxsize=4)
 def _injective_assignments(n: int, k: int) -> np.ndarray:
     count = math.perm(n, k)
     if count > ASSIGNMENT_CAP:
         raise CapacityError(
             f"{k}-node monomials on {n} nodes need {count:,} injective"
             f" assignments; capped at {ASSIGNMENT_CAP:,}")
-    perms = list(itertools.permutations(range(n), k))
-    arr = np.array(perms, dtype=np.intp).reshape(len(perms), k)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n), k))
+    arr = np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
     arr.setflags(write=False)
     return arr
 

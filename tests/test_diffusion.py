@@ -276,6 +276,26 @@ def test_score_matches_finite_difference():
         assert S[i, j] == pytest.approx(fd, rel=1e-6)
 
 
+def test_in_place_step_matches_the_expression_bit_for_bit():
+    # the reference is the step's arithmetic written out of place; the
+    # oracle computes it in place, and sample bytes depend on every bit
+    oracle = ScoreOracle(small_dataset(6, 4, 11), 6, cfg=EXH)
+    rng = np.random.default_rng(12)
+    for t in (1.0, 0.5, 0.05, 0.002):
+        w = 3.0 * rng.standard_normal(oracle.num_edge_slots)
+        alpha, beta = oracle._alpha_beta(t)
+        ip = np.einsum("ve,e->v", oracle._V, w, optimize=False)
+        logits = oracle._logmult + (alpha * ip - 0.5 * alpha * alpha
+                                    * oracle._ssq) / (beta * beta)
+        weights = np.exp(logits - logits.max())
+        weights = weights / weights.sum()
+        mean = np.einsum("v,ve->e", weights, oracle._V, optimize=False)
+        b2 = beta * beta
+        assert np.array_equal(oracle._logits(w, alpha, beta), logits)
+        assert np.array_equal(oracle._score_upper(w, t),
+                              -w / b2 + (alpha / b2) * mean)
+
+
 def test_density_invariance_and_score_equivariance():
     ds = small_dataset(4, 3, 1)
     oracle = ScoreOracle(ds, 4, cfg=EXH)

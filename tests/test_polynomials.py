@@ -1,7 +1,7 @@
 """Invariant and equivariant monomial bases, index-tuple bookkeeping."""
 
 import itertools
-from math import factorial
+from math import factorial, perm
 
 import numpy as np
 import pytest
@@ -10,9 +10,10 @@ from motifdiff.counting import count_rooted, count_subgraphs
 from motifdiff.errors import CapacityError, ContractError, InputError
 from motifdiff.graphs import Graph, Pattern, automorphism_count
 from motifdiff.patterns import PATTERN_LIBRARY, derive_marked_patterns
-from motifdiff.polynomials import (_expansion_terms, equivariant_basis,
-                                   first_occurrence_relabel, invariant_basis,
-                                   monomial_sum, pinned_monomial_matrix)
+from motifdiff.polynomials import (_expansion_terms, _injective_assignments,
+                                   equivariant_basis, first_occurrence_relabel,
+                                   invariant_basis, monomial_sum,
+                                   pinned_monomial_matrix)
 
 from conftest import complete_graph, make_random_graph
 
@@ -200,3 +201,13 @@ def test_assignment_cap_refuses_before_enumerating():
         monomial_sum(np.zeros((20, 20), dtype=np.int64), 6, [])
     with pytest.raises(CapacityError):
         invariant_basis(np.zeros((20, 20)), PATTERN_LIBRARY["c6"])
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_injective_assignments_are_the_permutations_in_order(n):
+    for k in range(n + 2):
+        got = _injective_assignments(n, k)
+        want = np.array(list(itertools.permutations(range(n), k)),
+                        dtype=np.intp).reshape(perm(n, k), k)
+        assert got.dtype == np.intp and not got.flags.writeable
+        assert np.array_equal(got, want) and got.shape == want.shape
