@@ -268,18 +268,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--steps", type=int, default=500)
     p_sample.add_argument("--score", choices=("direct", "series"),
                           default="direct")
-    p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--beta-min", type=float, default=0.1)
-    p_sample.add_argument("--beta-max", type=float, default=20.0)
-    p_sample.add_argument("--t-min", type=float, default=1e-3)
-    p_sample.add_argument("--t-max", type=float, default=1.0)
-    p_sample.add_argument("--perm-policy",
-                          choices=("auto", "exhaustive", "monte_carlo"),
-                          default="auto")
-    p_sample.add_argument("--mc-samples", type=int, default=10000)
-    p_sample.add_argument("--series-k", type=int, default=12,
+    p_sample.add_argument("--seed", type=int, default=ScoreConfig.seed)
+    p_sample.add_argument("--beta-min", type=float, default=NoiseSchedule.beta_min)
+    p_sample.add_argument("--beta-max", type=float, default=NoiseSchedule.beta_max)
+    p_sample.add_argument("--t-min", type=float, default=NoiseSchedule.t_min)
+    p_sample.add_argument("--t-max", type=float, default=NoiseSchedule.t_max)
+    p_sample.add_argument("--perm-policy", default=ScoreConfig.perm_policy,
+                          choices=("auto", "exhaustive", "monte_carlo"))
+    p_sample.add_argument("--mc-samples", type=int, default=ScoreConfig.mc_samples)
+    p_sample.add_argument("--series-k", type=int, default=ScoreConfig.truncation_k,
                           help="series truncation order (series mode)")
-    p_sample.add_argument("--series-ratio-max", type=float, default=3.0)
+    p_sample.add_argument("--series-ratio-max", type=float,
+                          default=ScoreConfig.series_ratio_max)
     p_sample.add_argument("--threshold", type=float, default=0.5)
     p_sample.add_argument("--trajectories", default=None,
                           help="optional JSONL path for per-step states")

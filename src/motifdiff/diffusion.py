@@ -24,7 +24,6 @@ count.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from math import factorial
@@ -34,8 +33,8 @@ import numpy as np
 from .errors import (CapacityError, InputError, NumericalRegimeError,
                      SeriesDivergenceError)
 from .graphs import Dataset, Graph
-from .polynomials import (_expansion_terms, monomial_sum,
-                          pinned_monomial_matrix)
+from .polynomials import (_expansion_terms, _injective_assignments,
+                          monomial_sum, pinned_monomial_matrix)
 
 # Below this noise level the mixture components are numerically disjoint and
 # the posterior weights degenerate; refuse rather than return garbage.
@@ -59,17 +58,15 @@ def _check_oracle_bytes(nbytes: int, what: str) -> None:
             f" --mc-samples")
 
 
-def _permutation_table(n: int) -> np.ndarray:
-    """All n! permutations of range(n) as intp rows, in the order
-    ``itertools.permutations(range(n))`` yields them."""
-    table = np.zeros((1, 0), dtype=np.intp)
-    for m in range(1, n + 1):
-        # head h, then the other m-1 values, sorted, in the (m-1)! table's order
-        table = np.concatenate([
-            np.column_stack((np.full(len(table), h, dtype=np.intp),
-                             np.delete(np.arange(m, dtype=np.intp), h)[table]))
-            for h in range(m)])
-    return table
+def _log_sum_exp(x: np.ndarray) -> float:
+    """log(sum(exp(x))), overwriting x: log1p(s / ties) + log(ties) + max,
+    s the pairwise sum of exp(x - max) with the maxima's terms zeroed."""
+    top = x.max()
+    ties = x == top
+    np.exp(np.subtract(x, top, out=x), out=x)
+    x[ties] = 0.0
+    m = np.float64(np.count_nonzero(ties))
+    return float(np.log1p(x.sum() / m) + np.log(m) + top)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,7 @@ class ScoreOracle:
                 f"score oracle: {num_perms} Monte Carlo permutations are over"
                 f" the cap of {MC_SAMPLES_CAP}; use fewer --mc-samples")
         if policy == "exhaustive":
-            perms = _permutation_table(n)
+            perms = _injective_assignments(n, n)
         else:
             rng = np.random.default_rng(self.cfg.seed)
             perms = np.array([rng.permutation(n) for _ in range(self.cfg.mc_samples)],
@@ -309,13 +306,10 @@ class ScoreOracle:
         return np.add(self._logmult, ip, out=ip)
 
     def _log_density_upper(self, w: np.ndarray, t: float) -> float:
-        # imported here: scipy is slow to import and only density queries use it
-        from scipy.special import logsumexp
-
         alpha, beta = self._alpha_beta(t)
         logits = self._logits(w, alpha, beta)
         wsq = float(np.einsum("e,e->", w, w, optimize=False))
-        return (float(logsumexp(logits)) - self._log_total
+        return (_log_sum_exp(logits) - self._log_total
                 - wsq / (2.0 * beta * beta)
                 - self.num_edge_slots * (math.log(beta) + 0.5 * math.log(2.0 * math.pi)))
 
@@ -486,19 +480,17 @@ def verify_basis_expansion(W, k: int, dataset: Dataset) -> BasisExpansionReport:
     # moment side, by direct enumeration
     f_moment = np.zeros((n, n), dtype=np.float64)
     g_moment = 0.0
-    pairs = 0
+    perms = _injective_assignments(n, n)
     for g in graphs:
         A = g.adj.astype(np.float64)
-        for perm in itertools.permutations(range(n)):
-            idx = np.asarray(perm, dtype=np.intp)
-            B = A[np.ix_(idx, idx)]
+        for perm in perms:
+            B = A[np.ix_(perm, perm)]
             ip = float(np.einsum("ij,ij->", B, arr, optimize=False))
             wk = ip ** k
             f_moment += B * wk
             g_moment += wk
-            pairs += 1
-    f_moment /= pairs
-    g_moment /= pairs
+    f_moment /= len(graphs) * len(perms)
+    g_moment /= len(graphs) * len(perms)
 
     nfact = factorial(n)
     mean_inv_cache: dict = {}

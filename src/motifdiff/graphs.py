@@ -57,15 +57,13 @@ class Graph:
         self.n = n
         self.adj = adj
         self.m = int(adj.sum()) // 2
-        self.degrees = tuple(int(d) for d in adj.sum(axis=0))
+        self.degrees = tuple(adj.sum(axis=0).tolist())
         iu, ju = np.nonzero(np.triu(adj, 1))
-        self.edge_list = tuple((int(u), int(v)) for u, v in zip(iu, ju))
-        self.neighbor_lists = tuple(
-            tuple(int(v) for v in np.nonzero(adj[u])[0]) for u in range(n)
-        )
-        self.neighbor_masks = tuple(
-            sum(1 << v for v in nbrs) for nbrs in self.neighbor_lists
-        )
+        self.edge_list = tuple(zip(iu.tolist(), ju.tolist()))
+        self.neighbor_lists = tuple(tuple(np.flatnonzero(r).tolist()) for r in adj)
+        # bit v of mask u is adj[u, v]: little-endian bits of little-endian bytes
+        self.neighbor_masks = tuple(int.from_bytes(row.tobytes(), "little") for row
+                                    in np.packbits(adj, axis=1, bitorder="little"))
         self._hash = hash((n, adj.tobytes()))
 
     @classmethod

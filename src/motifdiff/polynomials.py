@@ -43,18 +43,29 @@ BASIS_PATTERN_CAP = 6
 ASSIGNMENT_CAP = 10**6
 
 
-# a few entries: one near the cap is up to 48 MB
-@lru_cache(maxsize=4)
 def _injective_assignments(n: int, k: int) -> np.ndarray:
+    """The injective maps [k] -> [n] as read-only intp rows in lexicographic
+    order, the order of itertools' k-permutations; no rows when k > n."""
     count = math.perm(n, k)
     if count > ASSIGNMENT_CAP:
         raise CapacityError(
             f"{k}-node monomials on {n} nodes need {count:,} injective"
             f" assignments; capped at {ASSIGNMENT_CAP:,}")
-    flat = itertools.chain.from_iterable(itertools.permutations(range(n), k))
-    arr = np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
-    arr.setflags(write=False)
-    return arr
+    table = np.zeros((int(k <= n), max(k - n, 0)), dtype=np.intp)
+    for m in range(max(n - k, 0) + 1, n + 1):
+        # block h: head h, then the other m-1 values in the previous table's
+        # order; filled in place, so the table is never held twice
+        grown = np.empty((m, len(table), table.shape[1] + 1), dtype=np.intp)
+        grown[:, :, 0] = np.arange(m)[:, None]
+        for h in range(m):
+            grown[h, :, 1:] = np.delete(np.arange(m, dtype=np.intp), h)[table]
+        table = grown.reshape(-1, grown.shape[2])
+    table.setflags(write=False)
+    return table
+
+
+# for the monomial sums only; a few entries: one near the cap is up to 48 MB
+_cached_assignments = lru_cache(maxsize=4)(_injective_assignments)
 
 
 def _as_square(W) -> np.ndarray:
@@ -87,13 +98,12 @@ def monomial_sum(W, k_nodes: int, edges) -> int | float:
     if k_nodes < 0:
         raise InputError("k_nodes must be non-negative")
     exact = np.issubdtype(W.dtype, np.integer)
-    if k_nodes > n:
-        return 0 if exact else 0.0
-    acc = _edge_products(W, _injective_assignments(n, k_nodes), edges,
+    acc = _edge_products(W, _cached_assignments(n, k_nodes), edges,
                          np.int64 if exact else np.float64)
-    # fsum is correctly rounded, so the sum does not depend on assignment
-    # order: permuting W permutes the products and leaves the bits unchanged
-    return int(acc.sum()) if exact else math.fsum(acc.tolist())
+    # fsum is correctly rounded, so permuting W (which permutes the products)
+    # leaves the bits unchanged; bounded slices keep its Python list small
+    return int(acc.sum()) if exact else math.fsum(
+        v for i in range(0, len(acc), 2**16) for v in acc[i:i + 2**16].tolist())
 
 
 def pinned_monomial_matrix(W, k_nodes: int, edges, c: int, d: int) -> np.ndarray:
@@ -111,7 +121,7 @@ def pinned_monomial_matrix(W, k_nodes: int, edges, c: int, d: int) -> np.ndarray
         raise InputError(f"marks ({c}, {d}) invalid for k={k_nodes}")
     exact = np.issubdtype(W.dtype, np.integer)
     dtype = np.int64 if exact else np.float64
-    asn = _injective_assignments(n, k_nodes)
+    asn = _cached_assignments(n, k_nodes)
     acc = _edge_products(W, asn, edges, dtype)
     out = np.zeros((n, n), dtype=dtype)
     if len(acc):  # no assignment when k_nodes > n
@@ -122,7 +132,7 @@ def pinned_monomial_matrix(W, k_nodes: int, edges, c: int, d: int) -> np.ndarray
         blocks = acc[by_pins].reshape(n * (n - 1), -1)
         out[~np.eye(n, dtype=bool)] = (
             blocks.sum(axis=1) if exact
-            else [math.fsum(block) for block in blocks.tolist()])
+            else [math.fsum(block.tolist()) for block in blocks])
     return out
 
 

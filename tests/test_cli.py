@@ -8,9 +8,9 @@ import sys
 import pytest
 
 from motifdiff import graphs
-from motifdiff.cli import _default_threads, main
+from motifdiff.cli import _default_threads, build_parser, main
 from motifdiff.dataio import read_dataset, write_dataset
-from motifdiff.diffusion import ScoreOracle
+from motifdiff.diffusion import NoiseSchedule, ScoreConfig, ScoreOracle
 from motifdiff.graphs import Dataset, Graph
 
 from conftest import src_env
@@ -370,3 +370,15 @@ def test_sample_bytes_independent_of_blas_threads(tmp_path):
         assert done.returncode == 0, done.stderr
         outs.append((out.read_bytes(), traj.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_sample_defaults_are_the_dataclass_defaults():
+    args = build_parser().parse_args(
+        ["sample", "--train", "t.jsonl", "--num-samples", "1", "--out", "o"])
+    sched, cfg = NoiseSchedule(), ScoreConfig()
+    assert (args.beta_min, args.beta_max, args.t_min, args.t_max) == (
+        sched.beta_min, sched.beta_max, sched.t_min, sched.t_max)
+    assert (args.perm_policy, args.mc_samples, args.seed, args.series_k,
+            args.series_ratio_max) == (cfg.perm_policy, cfg.mc_samples,
+                                       cfg.seed, cfg.truncation_k,
+                                       cfg.series_ratio_max)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from motifdiff import diffusion
+from motifdiff import diffusion, polynomials
 from motifdiff.diffusion import (NoiseSchedule, ScoreConfig, ScoreOracle,
                                  permute_matrix, perturb, quantize,
                                  random_symmetric, symmetric_from_upper,
@@ -152,7 +152,9 @@ def star_graph(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_permutation_table_is_itertools_order(n):
-    table = diffusion._permutation_table(n)
+    # the oracle's template table: every relabelling of [n], in the order
+    # of itertools.permutations
+    table = diffusion._injective_assignments(n, n)
     assert table.dtype == np.intp
     assert table.tolist() == [list(p) for p in itertools.permutations(range(n))]
 
@@ -189,6 +191,67 @@ def test_oracle_table_matches_row_unique(n, graphs, cfg):
     assert oracle._log_total == log_total
     if n == 1:
         assert V.shape == (1, 0) and oracle._logmult[0] == math.log(len(graphs))
+
+
+def test_exhaustive_oracle_adds_nothing_to_the_monomial_cache():
+    # the oracle builds its permutation table uncached, so the 8! table of a
+    # sample-wide run is freed with the build
+    before = polynomials._cached_assignments.cache_info()
+    assert ScoreOracle(small_dataset(7, 2, 5), 7, cfg=EXH).num_templates > 1
+    assert polynomials._cached_assignments.cache_info() == before
+
+
+def log_density_cases():
+    rng = np.random.default_rng(23)
+    # ties: at W = 0 the 5 star templates share the largest logit, above
+    # the 60 path templates
+    path = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    yield pytest.param(Dataset(graphs=(star_graph(5), star_graph(5), path)), 5,
+                       300, id="ties")
+    yield pytest.param(Dataset(graphs=(complete_graph(4),)), 4, 20,
+                       id="one-template")
+    graphs = tuple(make_random_graph(6, 0.5, rng) for _ in range(3))
+    yield pytest.param(Dataset(graphs=graphs), 6, 300, id="n6")
+    # sample-wide's n, with 70,560 templates
+    graphs = tuple(make_random_graph(8, 0.4, rng) for _ in range(3))
+    yield pytest.param(Dataset(graphs=graphs), 8, 60, id="wide")
+
+
+@pytest.mark.parametrize("dataset,n,queries", list(log_density_cases()))
+def test_log_density_matches_scipy_logsumexp_bit_for_bit(dataset, n, queries):
+    # scipy is a test-only witness: the oracle's own log-sum-exp must give
+    # the bits of scipy's, which log_density returned before; a plain sum of
+    # exp(x - max), or the same terms summed in another order, differs from
+    # it in the last bit on a few percent of these queries
+    pytest.importorskip("scipy", minversion="1.17", exc_type=ImportError)
+    from scipy.special import logsumexp
+
+    oracle = ScoreOracle(dataset, n, cfg=EXH)
+    rng = np.random.default_rng(n)
+    spread = 0.0
+    for query in range(queries):
+        # the first queries are W = 0, where isomorphic templates tie
+        scale = rng.uniform(0.0, 3.0) if query >= 3 else 0.0
+        t = (0.01, 0.3, 1.0)[query] if query < 3 else rng.uniform(0.01, 1.0)
+        W = scale * random_symmetric(n, rng)
+        w = upper_vector(W)
+        alpha, beta = oracle._alpha_beta(t)
+        logits = oracle._logits(w, alpha, beta)
+        spread = max(spread, float(logits.max() - logits.min()))
+        want = (float(logsumexp(logits)) - oracle._log_total
+                - float(np.einsum("e,e->", w, w, optimize=False)) / (2.0 * beta * beta)
+                - oracle.num_edge_slots * (math.log(beta) + 0.5 * math.log(2.0 * math.pi)))
+        assert oracle.log_density(W, t) == want, (query, scale, t)
+    assert spread > 300.0 or oracle.num_templates == 1
+
+
+def test_log_sum_exp_of_a_non_finite_maximum_is_that_maximum():
+    # as with scipy's logsumexp; numpy warns of the inf - inf on the way
+    for x, want in (([np.inf, 1.0], np.inf), ([-np.inf, -np.inf], -np.inf),
+                    ([1.0, np.nan], np.nan)):
+        with np.errstate(all="ignore"):
+            got = diffusion._log_sum_exp(np.array(x))
+        assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 def test_oracle_byte_cap(monkeypatch):

@@ -7,7 +7,7 @@ import motifdiff
 
 from conftest import src_env
 
-# the CLI never imports the first three, and scipy only where it is used
+# the package never imports any of the four
 _DEFERRED = ("jsonschema", "multiprocessing", "concurrent.futures", "scipy")
 
 
@@ -37,3 +37,19 @@ except ContractError as exc:
     assert loaded == "[]"
     # the checker is the package's own; jsonschema is only a test witness
     assert raised == "False output failed its schema: -1 is less than the minimum of 0"
+
+
+def test_log_density_does_not_load_scipy():
+    code = """
+import sys
+import numpy as np
+from motifdiff.diffusion import ScoreOracle
+from motifdiff.graphs import Dataset, Graph
+oracle = ScoreOracle(Dataset(graphs=(Graph.from_edges(3, [(0, 1)]),)), 3)
+print(np.isfinite(oracle.log_density(np.ones((3, 3)) - np.eye(3), 0.5)),
+      "scipy" in sys.modules)
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=src_env())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "False"]

@@ -203,7 +203,7 @@ def test_assignment_cap_refuses_before_enumerating():
         invariant_basis(np.zeros((20, 20)), PATTERN_LIBRARY["c6"])
 
 
-@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("n", range(9))
 def test_injective_assignments_are_the_permutations_in_order(n):
     for k in range(n + 2):
         got = _injective_assignments(n, k)
