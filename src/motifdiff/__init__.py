@@ -1,12 +1,13 @@
 """Subgraph-count evaluation for graph generative models, plus an exact-score
 Gaussian graph-diffusion testbed."""
 
+from importlib import import_module
+
+from .config import NoiseSchedule, ScoreConfig
 from .counting import (CountDistribution, count_injective_homs, count_rooted,
                        count_subgraphs, count_table, naive_count_oracle)
 from .datagen import plant_pattern_dataset
 from .dataio import read_dataset, write_dataset
-from .diffusion import (BasisExpansionReport, NoiseSchedule, ScoreConfig,
-                        ScoreOracle, perturb, quantize, verify_basis_expansion)
 from .errors import (CapacityError, ContractError, GenerationError,
                      InputError, MotifdiffError, NumericalRegimeError,
                      SeriesDivergenceError)
@@ -16,10 +17,23 @@ from .graphs import (Dataset, Graph, Pattern, automorphism_count,
                      marked_canonical_form)
 from .patterns import (PATTERN_LIBRARY, PATTERN_NAMES, derive_marked_patterns,
                        get_pattern, resolve_patterns)
-from .polynomials import (equivariant_basis, invariant_basis, monomial_sum,
-                          pinned_monomial_matrix)
 
 __version__ = "0.1.0"
+
+# the numpy-backed names, imported on first use: counting and evaluation
+# never load numpy
+_LAZY = {**dict.fromkeys(("BasisExpansionReport", "ScoreOracle", "perturb", "quantize",
+                          "verify_basis_expansion"), "diffusion"),
+         **dict.fromkeys(("equivariant_basis", "invariant_basis", "monomial_sum",
+                          "pinned_monomial_matrix"), "polynomials")}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
 
 __all__ = [
     "BasisExpansionReport", "CapacityError", "ContractError",

@@ -13,12 +13,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
+from .config import SUITE_NAMES, NoiseSchedule, ScoreConfig
 from .counting import CountDistribution, count_table
 from .dataio import read_dataset, write_dataset
 from .datagen import plant_pattern_dataset
-from .diffusion import NoiseSchedule, ScoreConfig, ScoreOracle
 from .errors import InputError, MotifdiffError
 from .evaluation import evaluate
 from .graphs import Dataset
@@ -26,7 +24,6 @@ from .parallel import ordered_map
 from .patterns import PATTERN_NAMES, get_pattern, resolve_patterns
 from .schemas import (COUNT_REPORT, EVAL_REPORT, SUITE_REPORT,
                       TRAJECTORY_LINE, VERIFY_REPORT, validate_output)
-from .verification import SUITE_NAMES, run_suite
 
 
 def _default_threads() -> int:
@@ -94,8 +91,10 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _sample_one(oracle: ScoreOracle, args, idx: int) -> tuple:
+def _sample_one(oracle, args, idx: int) -> tuple:
     """Sample `idx` of the run, from its own stream [seed, idx]."""
+    import numpy as np
+
     traj: list | None = [] if args.trajectories is not None else None
     g = oracle.reverse_sample(args.steps, score_mode=args.score,
                               rng=np.random.default_rng([args.seed, idx]),
@@ -110,6 +109,8 @@ _SAMPLE_ECHOED = ("train", "num_samples", "steps", "score", "seed", "beta_min",
 
 
 def cmd_sample(args) -> int:
+    from .diffusion import ScoreOracle
+
     train = read_dataset(args.train)
     if args.num_samples < 1:
         raise InputError("--num-samples must be at least 1")
@@ -181,6 +182,8 @@ _TUPLE_KEYWORDS = {"n_values": lambda n: (n,),
 
 
 def cmd_verify(args) -> int:
+    from .verification import run_suite
+
     flags = {flag for table in _VERIFY_FLAGS.values() for flag in table}
     given = {flag: getattr(args, flag) for flag in sorted(flags)
              if getattr(args, flag) is not None}

@@ -40,7 +40,6 @@ from .errors import CapacityError, ContractError, InputError
 from .graphs import (Graph, Pattern, _individualize, _refine_colors,
                      automorphism_count)
 from .parallel import ordered_map
-from .polynomials import monomial_sum
 
 # Brute-force oracle materializes n!/(n-k)! assignments; past this it stops
 # being a quick cross-check and starts being a space problem.
@@ -184,13 +183,15 @@ def count_rooted(g: Graph, i: int, j: int, p: Pattern) -> int:
     if i == j:
         raise InputError("root nodes must be distinct")
     c, d = p.marks
-    if p.graph.adj[c, d] and not g.adj[i, j]:
+    if p.graph.has_edge(c, d) and not g.has_edge(i, j):
         return 0
     return _count_embeddings(g, _walk(p, (c, d)), (i, j))
 
 
 def naive_count_oracle(g: Graph, p: Pattern) -> int:
     """Brute-force recount over all injective node assignments (n <= 9)."""
+    from .polynomials import monomial_sum
+
     if g.n > ORACLE_NODE_CAP:
         raise CapacityError(
             f"oracle is capped at {ORACLE_NODE_CAP} host nodes, got {g.n}")

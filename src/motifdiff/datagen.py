@@ -10,8 +10,6 @@ graph rather than trusting the construction.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .counting import _compile, count_subgraphs
 from .errors import GenerationError, InputError
 from .graphs import Dataset, Graph, Pattern
@@ -20,20 +18,14 @@ DECORATIONS = ("none", "tree")
 
 
 def _place_and_decorate(pattern: Pattern, n: int, decoration: str, rng) -> Graph:
-    k = pattern.k
-    adj = np.zeros((n, n), dtype=np.uint8)
-    slots = rng.permutation(n)
-    for u, v in pattern.graph.edge_list:
-        a, b = slots[u], slots[v]
-        adj[a, b] = adj[b, a] = 1
+    slots = rng.permutation(n).tolist()
+    edges = [(slots[u], slots[v]) for u, v in pattern.graph.edge_list]
     if decoration == "tree":
         # each extra node hooks onto one uniformly chosen earlier slot, so
         # the decoration is a forest hanging off the pattern
-        for pos in range(k, n):
-            v = slots[pos]
-            u = slots[int(rng.integers(0, pos))]
-            adj[u, v] = adj[v, u] = 1
-    return Graph(adj)
+        edges += [(slots[int(rng.integers(0, pos))], slots[pos])
+                  for pos in range(pattern.k, n)]
+    return Graph.from_edges(n, edges)
 
 
 def plant_pattern_dataset(pattern: Pattern, n: int, count: int,
@@ -47,6 +39,8 @@ def plant_pattern_dataset(pattern: Pattern, n: int, count: int,
     failing verification are rejected and redrawn, up to `max_retries`
     attempts each.
     """
+    import numpy as np
+
     if pattern.marks is not None:
         raise InputError("planting expects an unmarked pattern")
     if pattern.k < 1:

@@ -14,8 +14,8 @@ from typing import TextIO
 from .errors import CapacityError, InputError
 from .graphs import Dataset, Graph, graph_from_edge_list
 
-# Graphs are held as dense n x n adjacency matrices; refuse larger hosts
-# before allocating one.
+# A graph is built from n rows of n bytes; refuse larger hosts before
+# allocating them.
 HOST_NODE_CAP = 1000
 
 

@@ -1,6 +1,7 @@
 """Core graph types and exact symmetry machinery.
 
-Graphs are simple and undirected: binary symmetric adjacency, zero diagonal.
+Graphs are simple and undirected, stored as one neighbor bitmask per node (bit
+v of mask u is the edge uv); the dense adjacency is built with numpy on first use.
 Node ids are 0-based everywhere inside the library; ``graph_from_edge_list``
 and the JSONL dataset format are the 1-based boundary.
 
@@ -20,10 +21,10 @@ search past ``SYMMETRY_SIGNATURE_CAP`` refinement signatures is refused.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import CapacityError, InputError
 
@@ -35,14 +36,19 @@ AUTOMORPHISM_NODE_CAP = 12
 # 1-2 s of work: 6 disjoint edges take 21k, 7 take 172k, 8 take 1.57M.
 SYMMETRY_SIGNATURE_CAP = 500_000
 
+# a row of 0/1 bytes as the digits of a binary numeral
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 class Graph:
     """Immutable simple undirected graph on nodes 0..n-1."""
 
-    __slots__ = ("n", "m", "adj", "degrees", "edge_list", "neighbor_lists",
-                 "neighbor_masks", "_hash")
+    __slots__ = ("n", "m", "degrees", "edge_list", "neighbor_lists",
+                 "neighbor_masks", "_adj")
 
     def __init__(self, adjacency) -> None:
+        import numpy as np
+
         adj = np.ascontiguousarray(adjacency, dtype=np.uint8)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise InputError("adjacency must be a square matrix")
@@ -53,43 +59,67 @@ class Graph:
             raise InputError("adjacency must be symmetric")
         if n and np.any(np.diagonal(adj)):
             raise InputError("self-loops are not allowed")
+        flat = adj.tobytes()
+        self._index(n, [flat[u * n:(u + 1) * n] for u in range(n)])
         adj.setflags(write=False)
-        self.n = n
-        self.adj = adj
-        self.m = int(adj.sum()) // 2
-        self.degrees = tuple(adj.sum(axis=0).tolist())
-        iu, ju = np.nonzero(np.triu(adj, 1))
-        self.edge_list = tuple(zip(iu.tolist(), ju.tolist()))
-        self.neighbor_lists = tuple(tuple(np.flatnonzero(r).tolist()) for r in adj)
-        # bit v of mask u is adj[u, v]: little-endian bits of little-endian bytes
-        self.neighbor_masks = tuple(int.from_bytes(row.tobytes(), "little") for row
-                                    in np.packbits(adj, axis=1, bitorder="little"))
-        self._hash = hash((n, adj.tobytes()))
+        self._adj = adj
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build from 0-based endpoint pairs; duplicates collapse silently."""
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise InputError("node count must be a non-negative integer")
-        adj = np.zeros((n, n), dtype=np.uint8)
+        rows = [bytearray(n) for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise InputError(f"self-loop at node {u}")
-            adj[u, v] = adj[v, u] = 1
-        return cls(adj)
+            rows[u][v] = rows[v][u] = 1
+        g = cls.__new__(cls)
+        g._index(n, rows)
+        return g
+
+    def _index(self, n: int, rows: Sequence[bytes]) -> None:
+        """Fill every stored field from the n rows of 0/1 bytes."""
+        nodes = list(range(n))  # shared int objects, not one per row entry
+        lists = tuple(tuple(compress(nodes, row)) for row in rows)
+        self.n = n
+        self._adj = None
+        self.neighbor_lists = lists
+        self.degrees = tuple(map(len, lists))
+        self.m = sum(self.degrees) // 2
+        self.edge_list = tuple(chain.from_iterable(
+            zip(repeat(u), nbrs[bisect_right(nbrs, u):])
+            for u, nbrs in enumerate(lists)))
+        # row u read backwards as a binary numeral has bit v = row[v]
+        self.neighbor_masks = tuple(int(row[::-1].translate(_BIT_DIGITS), 2)
+                                    for row in rows)
+
+    @property
+    def adj(self):
+        """Dense read-only uint8 adjacency matrix, built on first access."""
+        if self._adj is None:
+            import numpy as np
+
+            n = self.n
+            digits = "".join(format(mask, f"0{n}b")[::-1] for mask in self.neighbor_masks)
+            adj = np.frombuffer(digits.encode(), np.uint8).reshape(n, n) - ord("0")
+            adj.setflags(write=False)
+            self._adj = adj
+        return self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u, v])
+        # indexes like adj[u, v]: negatives count from the end, else IndexError
+        return bool(self.neighbor_masks[u] >> range(self.n)[v] & 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.adj, other.adj)
+        return self.n == other.n and self.neighbor_masks == other.neighbor_masks
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.neighbor_masks))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -208,12 +238,15 @@ def _refine_colors(n: int, neighbors: Sequence[Sequence[int]],
         cur = nxt
 
 
-def _ordering_bits(adj: np.ndarray, order: Sequence[int]) -> bytes:
-    idx = np.asarray(order, dtype=np.intp)
-    sub = adj[np.ix_(idx, idx)]
-    k = len(order)
-    iu = np.triu_indices(k, 1)
-    return np.packbits(sub[iu]).tobytes()
+def _ordering_bits(masks: Sequence[int], order: Sequence[int]) -> bytes:
+    """Upper triangle of the adjacency reordered by `order`, row by row, packed
+    big-endian and zero-padded like np.packbits. Character n-1-v of `rows` row i
+    is edge (order[i], v), so by symmetry its stride-n column n-1-u is (u, order[...])."""
+    n = len(masks)
+    rows = "".join([format(masks[u], f"0{n}b") for u in order])
+    digits = "".join([rows[(i + 2) * n - 1 - u::n] for i, u in enumerate(order)])
+    pad = -len(digits) % 8
+    return (int(digits or "0", 2) << pad).to_bytes((len(digits) + pad) // 8, "big")
 
 
 def _individualize(colors: Sequence[int], v: int) -> list[int]:
@@ -274,7 +307,7 @@ def _symmetry_search(g: Graph, colors0: Sequence[int]
             pending.extend(_individualize(colors, v) for v in cell[1:])
             colors = _individualize(colors, cell[0])
         order = tuple(v for _, v in sorted((colors[v], v) for v in range(n)))
-        key = _ordering_bits(g.adj, order)
+        key = _ordering_bits(g.neighbor_masks, order)
         if best_key is None or key < best_key:
             best_key, best_order, leaves = key, order, 1
         elif key == best_key:

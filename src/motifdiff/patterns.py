@@ -99,9 +99,8 @@ def derive_marked_patterns(patterns) -> list[Pattern]:
             raise InputError("expected unmarked patterns")
         g = p.graph
         for u, v in g.edge_list:
-            adj = g.adj.copy()
-            adj[u, v] = adj[v, u] = 0
-            reduced = Graph(adj)
+            reduced = Graph.from_edges(
+                g.n, [e for e in g.edge_list if e != (u, v)])
             for c, d in ((u, v), (v, u)):
                 cand = Pattern(reduced, name=p.name, marks=(c, d))
                 key = marked_canonical_form(cand)

@@ -13,17 +13,14 @@ import itertools
 
 import numpy as np
 
+from .config import SUITE_NAMES, NoiseSchedule, ScoreConfig
 from .counting import _compile, count_subgraphs
-from .diffusion import (NoiseSchedule, ScoreConfig, ScoreOracle,
-                        random_symmetric, permute_matrix,
+from .diffusion import (ScoreOracle, random_symmetric, permute_matrix,
                         verify_basis_expansion)
 from .errors import InputError
 from .graphs import Dataset, Graph, Pattern, automorphism_count
 from .patterns import PATTERN_LIBRARY, derive_marked_patterns
 from .polynomials import equivariant_basis, invariant_basis, monomial_sum
-
-SUITE_NAMES = ("count-identity", "finitediff", "series", "basis",
-               "equivariance")
 
 
 def _report(suite: str, checks: int, failures: list, max_error: float,

@@ -32,6 +32,18 @@ def permute_graph(g, perm):
     return Graph(g.adj[np.ix_(idx, idx)])
 
 
+def packbits_key(masks, order):
+    """The canonical search's key of a node ordering, by its definition: the
+    reordered adjacency's strict upper triangle, row by row, through
+    np.packbits (big-endian, zero-padded)."""
+    n = len(masks)
+    adj = np.array([[m >> v & 1 for v in range(n)] for m in masks],
+                   dtype=np.uint8).reshape(n, n)
+    idx = np.asarray(order, dtype=np.intp)
+    sub = adj[np.ix_(idx, idx)]
+    return np.packbits(sub[np.triu_indices(len(order), 1)]).tobytes()
+
+
 def is_connected(g):
     if g.n <= 1:
         return True

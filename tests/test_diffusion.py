@@ -45,6 +45,24 @@ def test_validate_symmetric_errors():
         validate_symmetric(np.eye(3))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_matrices_are_refused(bad):
+    oracle = ScoreOracle(Dataset(graphs=(complete_graph(3),
+                                         Graph.from_edges(3, [(0, 1)]))),
+                         3, cfg=EXH)
+    W = np.full((3, 3), 0.5)
+    np.fill_diagonal(W, 0.0)
+    W[0, 2] = W[2, 0] = bad
+    calls = [lambda: oracle.log_density(W, 0.5), lambda: oracle.score(W, 0.5),
+             lambda: oracle.score_series(W, 0.5),
+             lambda: oracle.series_ratio(W, 0.5), lambda: quantize(W)]
+    # errstate turns any numpy floating-point warning into an exception
+    with np.errstate(all="raise"):
+        for call in calls:
+            with pytest.raises(InputError, match="finite"):
+                call()
+
+
 def test_permute_matrix_rejects_non_permutation():
     with pytest.raises(InputError):
         permute_matrix(np.zeros((3, 3)), [0, 0, 1])

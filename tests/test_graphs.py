@@ -16,7 +16,7 @@ from motifdiff.graphs import (Dataset, Graph, Pattern, _refine_colors,
                               marked_canonical_form)
 
 from conftest import (complete_graph, is_connected, make_random_graph,
-                      permute_graph, src_env)
+                      packbits_key, permute_graph, src_env)
 
 
 # Same degree sequence {3,2,2,1,1,1}, different branch profiles at the
@@ -53,6 +53,83 @@ def test_from_edges_bounds():
         Graph.from_edges(-1, [])
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, "3", None, np.int64(3)])
+def test_from_edges_refuses_a_non_int_node_count(n):
+    with pytest.raises(InputError, match="node count"):
+        Graph.from_edges(n, [])
+
+
+@pytest.mark.parametrize("n,prob", [(0, 0.5), (1, 0.5), (2, 1.0), (7, 0.3),
+                                    (9, 0.5), (17, 0.8), (40, 0.1), (40, 0.6)])
+def test_from_edges_equals_graph_of_the_matrix(n, prob):
+    rng = np.random.default_rng(n + int(10 * prob))
+    upper = np.triu(rng.random((n, n)) < prob, 1).astype(np.uint8)
+    matrix = upper + upper.T
+    iu, ju = np.nonzero(upper)
+    edges = list(zip(iu.tolist(), ju.tolist()))
+    # shuffled, with every edge given a second time reversed
+    shuffled = edges + [(v, u) for u, v in edges]
+    rng.shuffle(shuffled)
+    a = Graph.from_edges(n, shuffled)
+    b = Graph(matrix)
+    assert a == b and hash(a) == hash(b)
+    for g in (a, b):
+        assert (g.n, g.m) == (n, len(edges))
+        assert g.edge_list == tuple(edges)
+        assert g.neighbor_lists == tuple(tuple(np.flatnonzero(r).tolist())
+                                         for r in matrix)
+        assert g.degrees == tuple(matrix.sum(axis=0).tolist())
+        assert g.neighbor_masks == tuple(
+            sum(1 << int(v) for v in np.flatnonzero(r)) for r in matrix)
+        assert g.adj.dtype == np.uint8 and g.adj.shape == (n, n)
+        assert g.adj.tobytes() == matrix.tobytes()
+        assert not g.adj.flags.writeable
+        if n > 1:
+            with pytest.raises(ValueError):
+                g.adj[0, 1] = 1 - g.adj[0, 1]
+    assert b.adj is b.adj and a.adj is a.adj
+    with pytest.raises(AttributeError):
+        a.adj = matrix
+
+
+def test_graph_keeps_the_matrix_it_was_given():
+    matrix = np.zeros((3, 3), dtype=np.uint8)
+    matrix[0, 1] = matrix[1, 0] = 1
+    g = Graph(matrix)
+    assert g.adj is matrix and not matrix.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_ordering_bits_match_packbits(n):
+    rng = np.random.default_rng(200 + n)
+    for prob in (0.2, 0.5, 0.9):
+        masks = make_random_graph(n, prob, rng).neighbor_masks
+        for k in range(n + 1):
+            order = rng.permutation(n)[:k].tolist()
+            assert graphs._ordering_bits(masks, order) == packbits_key(masks, order)
+
+
+def test_canonical_search_matches_packbits_keys(monkeypatch):
+    rng = np.random.default_rng(41)
+    hosts = [make_random_graph(int(rng.integers(0, 15)), rng.random(), rng)
+             for _ in range(150)]
+    hosts += [make_random_graph(40, prob, rng) for prob in (0.05, 0.3, 0.5)]
+    # 40-node hosts whose search has many leaves: disjoint edges and triangles
+    hosts += [Graph.from_edges(40, [(2 * i, 2 * i + 1) for i in range(4)]),
+              Graph.from_edges(40, [(3 * i + a, 3 * i + b) for i in range(4)
+                                    for a, b in ((0, 1), (1, 2), (0, 2))])]
+    for g in hosts:
+        order = rng.permutation(g.n).tolist()
+        assert (graphs._ordering_bits(g.neighbor_masks, order)
+                == packbits_key(g.neighbor_masks, order))
+    got = [(canonical_form(g), graphs._symmetry_search(g, (0,) * g.n)[2])
+           for g in hosts]
+    monkeypatch.setattr(graphs, "_ordering_bits", packbits_key)
+    want = [(canonical_form(g), graphs._symmetry_search(g, (0,) * g.n)[2])
+            for g in hosts]
+    assert got == want
+
+
 def test_graph_fields():
     g = complete_graph(4)
     assert g.n == 4
@@ -62,6 +139,18 @@ def test_graph_fields():
     assert g.neighbor_lists[0] == (1, 2, 3)
     assert g.neighbor_masks[0] == 0b1110
     assert g.has_edge(1, 3) and not complete_graph(2).has_edge(0, 0)
+
+
+def test_has_edge_indexes_like_adj():
+    g = Graph.from_edges(4, [(0, 3), (1, 2)])
+    for u in range(-4, 4):
+        for v in range(-4, 4):
+            assert g.has_edge(u, v) == bool(g.adj[u, v])
+    for u, v in [(0, 4), (4, 0), (0, -5), (-5, 0)]:
+        with pytest.raises(IndexError):
+            g.has_edge(u, v)
+        with pytest.raises(IndexError):
+            g.adj[u, v]
 
 
 def test_graph_equality_and_hash():

@@ -6,9 +6,10 @@ import itertools
 import numpy as np
 import pytest
 
+from motifdiff import graphs
 from motifdiff.graphs import Graph, automorphism_count, canonical_form
 
-from conftest import make_random_graph, permute_graph
+from conftest import make_random_graph, packbits_key, permute_graph
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
@@ -111,3 +112,10 @@ def test_atlas_canonical_forms_and_small_groups():
     for g in atlas:
         if g.n <= 6:
             assert automorphism_count(g) == nx_automorphisms(g)
+
+
+def test_atlas_canonical_forms_match_packbits_keys(monkeypatch):
+    atlas = [from_nx(h) for h in nx.graph_atlas_g()]
+    got = [canonical_form(g) for g in atlas]
+    monkeypatch.setattr(graphs, "_ordering_bits", packbits_key)
+    assert got == [canonical_form(g) for g in atlas]

@@ -3,7 +3,8 @@
 import pytest
 
 from motifdiff.errors import InputError
-from motifdiff.graphs import Graph, Pattern, automorphism_count
+from motifdiff.graphs import (Graph, Pattern, automorphism_count,
+                              marked_canonical_form)
 from motifdiff.patterns import (PATTERN_LIBRARY, PATTERN_NAMES, cycle_graph,
                                 derive_marked_patterns, fused_cycles_graph,
                                 get_pattern, path_graph, resolve_patterns)
@@ -90,3 +91,21 @@ def test_derive_marked_shapes():
         assert not p.graph.has_edge(*p.marks)
     with pytest.raises(InputError):
         derive_marked_patterns(derived)
+
+
+def test_derive_marked_family_matches_dense_edge_removal():
+    # the derivation by its definition: zero one edge of the dense matrix,
+    # mark its endpoints both ways, keep the first of each marked class
+    want, seen = [], set()
+    for p in PATTERN_LIBRARY.values():
+        for u, v in p.graph.edge_list:
+            adj = p.graph.adj.copy()
+            adj[u, v] = adj[v, u] = 0
+            for marks in ((u, v), (v, u)):
+                key = marked_canonical_form(Pattern(Graph(adj), marks=marks))
+                if key not in seen:
+                    seen.add(key)
+                    want.append((p.name, Graph(adj), marks, key))
+    got = [(q.name, q.graph, q.marks, marked_canonical_form(q))
+           for q in derive_marked_patterns(PATTERN_LIBRARY.values())]
+    assert got == want
