@@ -14,8 +14,8 @@ permuted-adjacency rows with multiplicities. The rows are bit-packed into
 big-endian 64-bit words, whose order is the rows' lexicographic order, and
 deduplicated by one ``np.lexsort`` over the word columns, so the table is
 the one ``np.unique(rows, axis=0)`` would give. ``verify_basis_expansion``
-checks the algebraic identity behind the series form, term by term, against
-the graph-polynomial module.
+checks the algebraic identity behind the series form against the
+graph-polynomial module, one term per set partition of the index positions.
 
 All reductions that touch floating-point data go through einsum with a fixed
 contraction order so that results are identical regardless of BLAS thread
@@ -313,6 +313,8 @@ class ScoreOracle:
     def score_series(self, W, t: float, order: int | None = None) -> np.ndarray:
         if order is None:
             order = self.cfg.truncation_k
+        elif order < 0:
+            raise InputError("series order must be non-negative")
         s = self._series_upper(upper_vector(self._check_matrix(W)), t, order)
         return symmetric_from_upper(s, self.n)
 
@@ -396,16 +398,17 @@ def verify_basis_expansion(W, k: int, dataset: Dataset) -> BasisExpansionReport:
     Moment side: averages over every (training graph, permutation) pair of
     the matrix pi(A0)*<pi(A0), W>^k and the scalar <pi(A0), W>^k, with
     full-matrix inner products. Basis side: the same quantities reassembled
-    from invariant and equivariant basis polynomials, one term per index
-    tuple, with the completion factorials the grouping by injective
-    placements requires. The two must agree to float precision; their
-    difference is the report's discrepancy.
+    from invariant and equivariant basis polynomials, one term per set
+    partition of the 2k+2 index positions, with the completion factorials
+    the grouping by injective placements requires. The two must agree to
+    float precision; their difference is the report's discrepancy.
     """
     arr = validate_symmetric(W)
     n = arr.shape[0]
     if n > VERIFY_NODE_CAP or k > VERIFY_ORDER_CAP:
         raise CapacityError(
-            f"term verification enumerates n^(2k+2) tuples; capped at"
+            f"term verification enumerates the n! permutations and the set"
+            f" partitions of 2k+2 index positions; capped at"
             f" n<={VERIFY_NODE_CAP}, k<={VERIFY_ORDER_CAP}")
     if k < 0:
         raise InputError("order k must be non-negative")
@@ -432,7 +435,7 @@ def verify_basis_expansion(W, k: int, dataset: Dataset) -> BasisExpansionReport:
     mean_inv_cache: dict = {}
 
     def weighted_terms(length: int, rooted: bool):
-        # one (weight, node count, multi edges) per tuple group with a
+        # one (weight, node count, multi edges) per set partition with a
         # nonzero coefficient: multiplicity times the completion factorial
         # times the dataset average of the collapsed pattern's invariant
         for mult, kp, simple, multi in _expansion_terms(n, length, rooted):
@@ -446,7 +449,7 @@ def verify_basis_expansion(W, k: int, dataset: Dataset) -> BasisExpansionReport:
             if coeff != 0.0:
                 yield mult * coeff, kp, multi
 
-    # basis side: tuples sharing a relabeling contribute identical terms
+    # basis side: the tuples of one set partition contribute identical terms
     f_basis = np.zeros((n, n), dtype=np.float64)
     for weight, kp, multi in weighted_terms(2 * k + 2, rooted=True):
         raw = pinned_monomial_matrix(arr, kp, multi, 0, 1)

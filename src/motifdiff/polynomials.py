@@ -14,9 +14,10 @@ input they are the monomial bases the score decomposition is written in.
 The raw helpers (``monomial_sum``, ``pinned_monomial_matrix``) take explicit
 edge lists that may repeat a pair; repeats multiply the factor in, which is
 what the moment expansion needs on the real-matrix side. The expansion's
-index tuples are grouped by their first-occurrence relabeling; each group
-gives one collapsed simple pattern (counted on the binary side) and one
-pair list with multiplicity kept (evaluated on the real side).
+index tuples are grouped by set partition of their positions, and the
+partitions are listed directly, never the tuples; each group gives one
+collapsed simple pattern (counted on the binary side) and one pair list
+with multiplicity kept (evaluated on the real side).
 
 Every evaluation enumerates the n!/(n-k)! injective assignments of the
 pattern's nodes, so it is refused past ``ASSIGNMENT_CAP`` of them.
@@ -24,9 +25,7 @@ pattern's nodes, so it is refused past ``ASSIGNMENT_CAP`` of them.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 from functools import lru_cache
 from math import factorial
 
@@ -176,39 +175,34 @@ def equivariant_basis(W, p: Pattern) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# index tuples of the moment expansion
-
-
-def first_occurrence_relabel(seq) -> tuple[int, ...]:
-    """Canonical relabeling by order of first occurrence: (3,1,3,7) -> (0,1,0,2)."""
-    mapping: dict[int, int] = {}
-    out = []
-    for x in seq:
-        if x not in mapping:
-            mapping[x] = len(mapping)
-        out.append(mapping[x])
-    return tuple(out)
+# set partitions of the moment expansion's index positions
 
 
 def _expansion_terms(n: int, length: int, rooted: bool):
-    """Group the index tuples of one moment-expansion term.
+    """Group the index tuples of one moment-expansion term, never listing them.
 
-    Every tuple in ``product(range(n), repeat=length)`` is read as pairs
-    (u1, v1, u2, v2, ...) and grouped by its first-occurrence relabeling, in
-    first-seen order. For each group whose tuples do not vanish (no pair on
-    a single node) this yields (multiplicity, node count, simple edges,
-    multi edges): the sorted edge set of the collapsed pattern, counted on
-    the binary side, and the sorted pair list with multiplicity kept, the
-    monomial evaluated on the real side. When `rooted`, the first pair is
-    the root pair (0, 1): an edge of the simple pattern, but a monomial
-    factor only when a later pair repeats it.
+    A tuple in ``product(range(n), repeat=length)`` is read as pairs
+    (u1, v1, u2, v2, ...); its group is its relabeling by first occurrence,
+    (3,1,3,7) -> (0,1,0,2): a restricted growth string with at most n values,
+    one per set partition of the positions (Knuth, TAOCP 4A, 7.2.1.5). The
+    strings are listed in lexicographic order, the order in which the product
+    first reaches each group, and one is dropped once a pair lands on a single
+    node. For a string with b values this yields (n!/(n-b)! tuples, b, simple
+    edges, multi edges): the sorted edge set of the collapsed pattern, counted
+    on the binary side, and the sorted pair list with multiplicity kept, the
+    monomial evaluated on the real side. When `rooted`, the first pair is the
+    root pair (0, 1): an edge of the simple pattern, but a monomial factor
+    only when a later pair repeats it.
     """
-    groups = Counter(first_occurrence_relabel(t)
-                     for t in itertools.product(range(n), repeat=length))
-    for key, mult in groups.items():
+    strings = [()]
+    for i in range(length):
+        # a used value or the next new one, up to n values; no pair on one node
+        strings = [s + (v,) for s in strings
+                   for v in range(min(max(s, default=-1) + 2, n))
+                   if i % 2 == 0 or v != s[-1]]
+    for key in strings:
         pairs = [(min(a, b), max(a, b)) for a, b in zip(key[::2], key[1::2])]
-        if any(a == b for a, b in pairs):
-            continue
-        simple = tuple(sorted(set(pairs)))
         factors = pairs[1:] if rooted else pairs
-        yield mult, len(set(key)), simple, tuple(sorted(factors))
+        blocks = len(set(key))
+        yield (math.perm(n, blocks), blocks, tuple(sorted(set(pairs))),
+               tuple(sorted(factors)))

@@ -249,6 +249,11 @@ def test_verify_rejects_flags_the_suite_does_not_read(argv, tmp_path, capsys):
     ["--suite", "equivariance", "--n", "1"],
     ["--suite", "equivariance", "--trials", "-3"],
     ["--suite", "basis", "--k", "-1"],
+    # no error exceeds an infinite tolerance or compares above nan
+    ["--suite", "finitediff", "--tolerance", "nan"],
+    ["--suite", "basis", "--tolerance", "inf"],
+    ["--suite", "finitediff", "--tolerance", "-1"],
+    ["--suite", "series", "--k", "-1"],
 ])
 def test_verify_out_of_range_flags_exit_2(argv, tmp_path, capsys):
     # a self-check that crashes or checks nothing is a usage error, not a

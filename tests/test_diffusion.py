@@ -409,6 +409,13 @@ def test_series_matches_direct_in_convergent_regime():
         assert rel16 <= rel + 1e-9
 
 
+def test_series_refuses_negative_order():
+    oracle = ScoreOracle(small_dataset(4, 2, 3), 4, cfg=EXH)
+    W = random_symmetric(4, np.random.default_rng(0))
+    with pytest.raises(InputError):
+        oracle.score_series(W, 0.7, order=-1)
+
+
 def test_series_divergence_raises_with_ratio():
     ds = small_dataset(4, 2, 3)
     oracle = ScoreOracle(ds, 4, cfg=EXH)

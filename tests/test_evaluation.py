@@ -1,5 +1,6 @@
 """TV distances, novelty, and the combined evaluation report."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,22 @@ def test_tv_point_mass_correspondence_is_exact():
     assert tv_distance(train, gen) == 0.30
     gen97 = dist([1] * 64 + [0] * 33)
     assert tv_distance(train, gen97) == float(Fraction(33, 97))
+
+
+def test_tv_matches_fraction_reference():
+    # the integer form rounds once, so it equals the exact rational TV rounded
+    rng = random.Random(3)
+    for _ in range(2000):
+        p, q = ({v: rng.randint(0, rng.choice([3, 10**6]))
+                 for v in rng.sample(range(8), rng.randint(1, 8))}
+                for _ in range(2))
+        if not sum(p.values()) or not sum(q.values()):
+            continue
+        P, Q = CountDistribution(p), CountDistribution(q)
+        want = sum(abs(Fraction(p.get(v, 0), P.sample_size)
+                       - Fraction(q.get(v, 0), Q.sample_size))
+                   for v in set(p) | set(q)) / 2
+        assert tv_distance(P, Q) == float(want)
 
 
 def test_novelty_modes():

@@ -1,7 +1,8 @@
 """Invariant and equivariant monomial bases, index-tuple bookkeeping."""
 
 import itertools
-from math import factorial, perm
+from collections import Counter
+from math import comb, factorial, perm
 
 import numpy as np
 import pytest
@@ -11,9 +12,8 @@ from motifdiff.errors import CapacityError, ContractError, InputError
 from motifdiff.graphs import Graph, Pattern, automorphism_count
 from motifdiff.patterns import PATTERN_LIBRARY, derive_marked_patterns
 from motifdiff.polynomials import (_expansion_terms, _injective_assignments,
-                                   equivariant_basis, first_occurrence_relabel,
-                                   invariant_basis, monomial_sum,
-                                   pinned_monomial_matrix)
+                                   equivariant_basis, invariant_basis,
+                                   monomial_sum, pinned_monomial_matrix)
 
 from conftest import complete_graph, make_random_graph
 
@@ -126,6 +126,17 @@ def test_pinned_matrix_validation():
     assert not out.any()
 
 
+def first_occurrence_relabel(seq) -> tuple[int, ...]:
+    """Canonical relabeling by order of first occurrence: (3,1,3,7) -> (0,1,0,2)."""
+    mapping: dict[int, int] = {}
+    out = []
+    for x in seq:
+        if x not in mapping:
+            mapping[x] = len(mapping)
+        out.append(mapping[x])
+    return tuple(out)
+
+
 def test_first_occurrence_relabel():
     assert first_occurrence_relabel((3, 1, 3, 7)) == (0, 1, 0, 2)
     assert first_occurrence_relabel(()) == ()
@@ -183,8 +194,10 @@ def _reference_term(key, rooted):
 
 @pytest.mark.parametrize("rooted", [False, True])
 def test_expansion_terms_match_brute_force_tally(rooted):
-    for n in range(1, 4):
-        for length in range(2 if rooted else 0, 7, 2):
+    # up to n = 4 at length 8 (65,536 tuples), the largest term the default
+    # basis suite (n <= 4, k <= 3) expands
+    for n in range(1, 5):
+        for length in range(2 if rooted else 0, 9, 2):
             tally: dict = {}
             for t in itertools.product(range(n), repeat=length):
                 if any(t[i] == t[i + 1] for i in range(0, length, 2)):
@@ -194,6 +207,28 @@ def test_expansion_terms_match_brute_force_tally(rooted):
             want = [(mult, *_reference_term(key, rooted))
                     for key, mult in tally.items()]
             assert list(_expansion_terms(n, length, rooted)) == want
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_expansion_terms_closed_form_past_brute_force(n, rooted):
+    # length 10 is 10^6 to 6*10^7 tuples: check the groups by closed form
+    terms = list(_expansion_terms(n, 10, rooted))
+    # every tuple of 5 pairs, each on two distinct nodes, lands in one group
+    assert sum(mult for mult, *_ in terms) == (n * (n - 1)) ** 5
+    assert all(mult == perm(n, k) for mult, k, *_ in terms)
+    # one group per set partition of the 10 positions into b <= n blocks that
+    # keeps each pair apart: the maps onto b values that keep the pairs apart
+    # (inclusion-exclusion over unused values), over the b! block labelings.
+    # Two groups may yield equal terms, so the groups are told apart by count
+    want = {}
+    for b in range(n + 1):
+        onto = sum((-1) ** (b - j) * comb(b, j) * (j * (j - 1)) ** 5
+                   for j in range(b + 1))
+        assert onto % factorial(b) == 0
+        if onto:
+            want[b] = onto // factorial(b)
+    assert Counter(k for _, k, *_ in terms) == Counter(want)
 
 
 def test_assignment_cap_refuses_before_enumerating():
