@@ -182,7 +182,7 @@ _TUPLE_KEYWORDS = {"n_values": lambda n: (n,),
 
 
 def cmd_verify(args) -> int:
-    from .verification import run_suite
+    from .verification import check_tolerance, run_suite
 
     flags = {flag for table in _VERIFY_FLAGS.values() for flag in table}
     given = {flag: getattr(args, flag) for flag in sorted(flags)
@@ -194,6 +194,8 @@ def cmd_verify(args) -> int:
             raise InputError(
                 f"suite {args.suite} does not read "
                 + ", ".join(f"--{flag}" for flag in unread))
+    if args.tolerance is not None:  # before --suite all runs count-identity
+        check_tolerance(args.tolerance)
     suites = []
     for name in names:
         overrides = {}

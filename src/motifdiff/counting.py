@@ -9,20 +9,19 @@ as there are node triples.
 The matcher is one backtracking search over host nodes with bitmask
 candidate intersection, driven by a plan. Patterns are tiny (at most 12
 nodes) and hosts are desk scale. A plan starts as a walk: a greedy order
-over the pattern's nodes that are not pinned, with no constraints and
-divisor 1. Injective map counts use the walk as it is; rooted counts pin
-the two marks, after ``count_rooted`` has checked the roots once.
-Subgraph counting compiles the pattern once into a plan that adds |Aut| and
-symmetry-breaking constraints host(v) < host(u) (after Grochow & Kellis,
-"Network motif discovery using subgraph enumeration and symmetry-breaking",
-RECOMB 2007). The constraints come from a chain of color refinements, each
-with one more node of the order individualized; the cell of the next node
-stands in for its orbit. A cell contains the orbit, so the product of the
-cell sizes is at least |Aut|, and it equals |Aut| exactly when every cell is
-an orbit. Only then is the chain certified: the constrained search meets
-each subgraph once, and the count needs no division. Otherwise (regular
-patterns refinement cannot split, such as C3 plus a disjoint C4) the plan
-has no constraints and the map count is divided by |Aut|.
+over the pattern's nodes that are not pinned, with no constraints. Injective
+map counts use the walk as it is; rooted counts pin the two marks, after
+``count_rooted`` has checked the roots once. Subgraph counting compiles the
+pattern once into a plan that adds constraints host(v) < host(u) for each u
+in v's orbit under the automorphisms fixing the nodes before v (after
+Grochow & Kellis, RECOMB 2007), so the search meets each subgraph once. The
+orbits come from a chain of color refinements, one more node of the order
+individualized at each step. A cell contains the orbit, and the orbit sizes
+multiply to |Aut| (orbit-stabilizer), so cells whose sizes multiply to |Aut|
+are orbits. Otherwise (regular patterns such as C3 plus a disjoint C4) the
+chain is rebuilt from true orbits: u is in v's orbit when the symmetry
+search finds the same encoding with u or with v individualized (after
+McKay & Piperno, "Practical graph isomorphism, II").
 
 ``naive_count_oracle`` recounts by brute force over all injective node
 assignments: the exact integer monomial sum of the pattern's edges over the
@@ -38,7 +37,7 @@ from typing import Mapping, Sequence
 
 from .errors import CapacityError, ContractError, InputError
 from .graphs import (Graph, Pattern, _individualize, _refine_colors,
-                     automorphism_count)
+                     _symmetry_search, automorphism_count)
 from .parallel import ordered_map
 
 # Brute-force oracle materializes n!/(n-k)! assignments; past this it stops
@@ -53,15 +52,13 @@ class _Plan:
     `order` holds the non-pinned nodes; `prev_positions[i]` lists the
     positions in (pins + order) of the placed neighbors of `order[i]`, and
     `smaller_positions[i]` the earlier positions whose host must be smaller
-    than its host. `divisor` is |Aut| when a subgraph plan has no certified
-    constraints, else 1.
+    than its host.
     """
 
     pattern: Pattern
     order: tuple[int, ...]
     prev_positions: tuple[tuple[int, ...], ...]
     smaller_positions: tuple[tuple[int, ...], ...]
-    divisor: int
 
 
 def _walk(p: Pattern, pinned: tuple[int, ...] = ()) -> _Plan:
@@ -82,32 +79,38 @@ def _walk(p: Pattern, pinned: tuple[int, ...] = ()) -> _Plan:
         tuple(placed.index(u) for u in g.neighbor_lists[v]
               if u in placed[:len(pinned) + i])
         for i, v in enumerate(order))
-    return _Plan(p, order, prev_positions, ((),) * len(order), 1)
+    return _Plan(p, order, prev_positions, ((),) * len(order))
 
 
 def _compile(p: Pattern) -> _Plan:
-    """Plan for counting `p`: the walk plus the symmetry-breaking
-    constraints if the refinement chain certifies them, else divisor |Aut|."""
+    """Plan for counting `p`: the walk plus the symmetry-breaking constraints
+    of its orbit chain, from refined cells if they certify, else from orbits."""
     g = p.graph
     aut = automorphism_count(g)
     walk = _walk(p)
     position = {v: i for i, v in enumerate(walk.order)}
-    smaller: list[list[int]] = [[] for _ in walk.order]
-    colors = _refine_colors(g.n, g.neighbor_lists, [0] * g.n)
-    product = 1
-    for i, v in enumerate(walk.order):
-        if len(set(colors)) == g.n:
-            break
-        # earlier nodes are individualized, so the rest of the cell is later
-        cell = [u for u in range(g.n) if colors[u] == colors[v]]
-        product *= len(cell)
-        for u in cell:
-            if u != v:
-                smaller[position[u]].append(i)
-        colors = _refine_colors(g.n, g.neighbor_lists, _individualize(colors, v))
-    if product != aut:
-        return replace(walk, divisor=aut)
-    return replace(walk, smaller_positions=tuple(map(tuple, smaller)))
+    for exact in (False, True):
+        smaller: list[list[int]] = [[] for _ in walk.order]
+        colors = _refine_colors(g.n, g.neighbor_lists, [0] * g.n)
+        product = 1
+        for i, v in enumerate(walk.order):
+            if len(set(colors)) == g.n:
+                break
+            # earlier nodes are individualized, so the rest of the cell is later
+            cell = [u for u in range(g.n) if colors[u] == colors[v]]
+            if exact:
+                # canonical colors, leaves sorted by color: same key, same orbit
+                key = _symmetry_search(g, _individualize(colors, v))[1]
+                cell = [u for u in cell if u == v or key
+                        == _symmetry_search(g, _individualize(colors, u))[1]]
+            product *= len(cell)
+            for u in cell:
+                if u != v:
+                    smaller[position[u]].append(i)
+            colors = _refine_colors(g.n, g.neighbor_lists, _individualize(colors, v))
+        if product == aut:
+            return replace(walk, smaller_positions=tuple(map(tuple, smaller)))
+    raise ContractError(f"orbit sizes multiply to {product}, not |Aut| = {aut}")
 
 
 def _count_embeddings(g: Graph, plan: _Plan, pins: tuple[int, ...] = ()) -> int:
@@ -159,7 +162,8 @@ def count_injective_homs(g: Graph, p: Pattern) -> int:
 
 
 def count_subgraphs(g: Graph, p: Pattern, plan: _Plan | None = None) -> int:
-    """Non-induced subgraph count: injective maps over |Aut(pattern)|.
+    """Non-induced subgraph count: injective maps over |Aut(pattern)|, found
+    as the maps that meet the plan's symmetry-breaking constraints.
 
     `plan` is `p` compiled by `_compile`; a caller counting one pattern in
     many hosts passes it so the pattern is compiled once. Without one, the
@@ -167,11 +171,7 @@ def count_subgraphs(g: Graph, p: Pattern, plan: _Plan | None = None) -> int:
     """
     if plan is None:
         plan = _compile(p)
-    found = _count_embeddings(g, plan)
-    if found % plan.divisor:
-        raise ContractError(
-            f"injective map count {found} not divisible by |Aut| = {plan.divisor}")
-    return found // plan.divisor
+    return _count_embeddings(g, plan)
 
 
 def count_rooted(g: Graph, i: int, j: int, p: Pattern) -> int:

@@ -337,6 +337,8 @@ class ScoreOracle:
             raise InputError("steps must be at least 10")
         if score_mode not in ("direct", "series"):
             raise InputError(f"unknown score_mode {score_mode!r}")
+        if not math.isfinite(threshold):  # would quantize to no or every edge
+            raise InputError(f"threshold must be finite, got {threshold}")
         if rng is None:
             rng = np.random.default_rng(self.cfg.seed)
         sched = self.sched

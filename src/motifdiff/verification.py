@@ -23,14 +23,18 @@ from .patterns import PATTERN_LIBRARY, derive_marked_patterns
 from .polynomials import equivariant_basis, invariant_basis, monomial_sum
 
 
+def check_tolerance(tolerance: float) -> None:
+    if not 0 <= tolerance < float("inf"):  # nan fails every comparison
+        raise InputError(f"tolerance must be finite and >= 0, got {tolerance}")
+
+
 def _report(suite: str, checks: int, failures: list, max_error: float,
             tolerance: float, params: dict) -> dict:
     # a self-check that checked nothing or could fail nothing reads as a pass
     if checks == 0:
         raise InputError(f"suite {suite} ran no checks: its trial count,"
                          " sizes or orders select none")
-    if not 0 <= tolerance < float("inf"):  # nan fails every comparison
-        raise InputError(f"tolerance must be finite and >= 0, got {tolerance}")
+    check_tolerance(tolerance)
     return {
         "suite": suite,
         "passed": not failures,

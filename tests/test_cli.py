@@ -181,6 +181,17 @@ def test_sample_validates_num_samples(train_path, tmp_path):
                 "--steps", "10", "--out", str(tmp_path / "g.jsonl")]) == 2
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_sample_non_finite_threshold_exits_2(train_path, tmp_path, capsys,
+                                             threshold):
+    out = tmp_path / "g.jsonl"
+    assert run(["sample", "--train", train_path, "--num-samples", "2",
+                "--steps", "10", "--threshold", threshold, "--threads", "1",
+                "--out", str(out)]) == 2
+    assert "threshold must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_self_comparison(train_path, tmp_path):
     out = tmp_path / "eval.json"
     rc = run(["eval", "--train", train_path, "--gen", train_path,
@@ -261,6 +272,23 @@ def test_verify_out_of_range_flags_exit_2(argv, tmp_path, capsys):
     out = tmp_path / "v.json"
     assert run(["verify", *argv, "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_verify_all_refuses_tolerance_before_any_suite(tolerance, tmp_path,
+                                                       capsys, monkeypatch):
+    from motifdiff import verification
+
+    def never(**_):
+        raise AssertionError("a suite ran before the tolerance was checked")
+
+    for name in verification._RUNNERS:
+        monkeypatch.setitem(verification._RUNNERS, name, never)
+    out = tmp_path / "v.json"
+    assert run(["verify", "--suite", "all", "--tolerance", tolerance,
+                "--out", str(out)]) == 2
+    assert "tolerance must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

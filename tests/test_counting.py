@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from motifdiff import counting
 from motifdiff.counting import (CountDistribution, _compile,
                                 count_injective_homs, count_rooted,
                                 count_subgraphs, count_table,
@@ -65,25 +66,28 @@ def test_symmetry_broken_search_finds_each_subgraph_once():
     # K4 holds 3 four-cycles; the certified plan meets each once, where the
     # unconstrained search meets each of the 8 maps of every copy
     plan = _compile(get_pattern("c4"))
-    assert plan.divisor == 1
     assert any(plan.smaller_positions)
     assert count_subgraphs(complete_graph(4), get_pattern("c4"), plan) == 3
     assert count_injective_homs(complete_graph(4), get_pattern("c4")) == 24
 
 
-def test_uncertified_chain_falls_back_to_division():
+def test_uncertified_refinement_chain_is_cut_to_orbits(monkeypatch):
     # C3 plus a disjoint C4 is regular, so refinement cannot tell the two
-    # cycles' nodes apart: the chain is not certified, the plan carries no
-    # constraints and the map count is divided by |Aut| = 6 * 8
+    # cycles' nodes apart and its cells multiply past |Aut| = 6 * 8: the
+    # chain is rebuilt from orbits the symmetry search finds
     p = Pattern(Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5),
                                      (5, 6), (6, 3)]))
+    searches = []
+    real_search = counting._symmetry_search
+    monkeypatch.setattr(counting, "_symmetry_search",
+                        lambda *a: searches.append(a) or real_search(*a))
     plan = _compile(p)
-    assert plan.divisor == 48
-    assert not any(plan.smaller_positions)
+    assert searches
+    assert any(plan.smaller_positions)
     # in K8: choose the triangle's 3 nodes, then 3 four-cycles on 4 of the
     # remaining 5 nodes
-    assert count_subgraphs(complete_graph(8), p) == 56 * 5 * 3
-    assert count_subgraphs(cycle(7), p) == 0
+    assert count_subgraphs(complete_graph(8), p, plan) == 56 * 5 * 3
+    assert count_subgraphs(cycle(7), p, plan) == 0
 
 
 def test_oracle_cap():

@@ -1,14 +1,17 @@
 """networkx as a third witness for subgraph counts: monomorphisms listed by
 GraphMatcher, divided by the automorphisms it lists, against `count_table`
 and `count_subgraphs`. The pattern set covers the symmetry-broken search on
-large groups (stars, disjoint copies, vertex-transitive graphs) and its
-fallback (C3 plus a disjoint C4, whose chain refinement cannot certify)."""
+large groups (stars, disjoint copies, vertex-transitive graphs), including
+regular patterns whose orbits refinement cannot find (C3 plus a disjoint C4,
+C5 plus a disjoint C7, a cubic graph on 12 nodes), and every atlas graph on
+3-7 nodes."""
 
 import numpy as np
 import pytest
 
-from motifdiff.counting import _compile, count_subgraphs, count_table
-from motifdiff.graphs import Graph, Pattern
+from motifdiff.counting import (_compile, count_injective_homs,
+                                count_subgraphs, count_table)
+from motifdiff.graphs import Graph, Pattern, automorphism_count
 from motifdiff.patterns import PATTERN_LIBRARY
 
 from conftest import make_random_graph
@@ -99,12 +102,48 @@ def test_count_subgraphs_matches_networkx(hosts, reference):
 
 
 def test_library_chains_are_certified():
-    # every library pattern takes the constrained path, so eval counts each
-    # subgraph once; so do the extra patterns apart from C3 plus C4
+    # every plan is symmetry-broken, so eval counts each subgraph once: it
+    # has constraints exactly when the pattern has symmetry, C3 plus C4 too
     for p in PATTERNS:
         plan = _compile(p)
-        if p.name == "C3_C4":
-            assert plan.divisor == 48
-            assert not any(plan.smaller_positions)
-        else:
-            assert plan.divisor == 1, p.name
+        assert any(plan.smaller_positions) == (automorphism_count(p.graph) > 1), p.name
+
+
+def test_atlas_patterns_compile_to_certified_plans():
+    # the 1,244 atlas graphs on 3-7 nodes with an edge; refinement alone
+    # leaves C3 plus C4 and its complement to the orbit pass
+    rng = np.random.default_rng(1244)
+    hosts = [make_random_graph(8, 0.4, rng), make_random_graph(9, 0.4, rng)]
+    patterns = nonzero = 0
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() < 3 or not h.number_of_edges():
+            continue
+        p = Pattern(from_nx(h))
+        aut = automorphism_count(p.graph)
+        plan = _compile(p)
+        assert any(plan.smaller_positions) == (aut > 1), h.edges
+        for g in hosts:
+            found = count_subgraphs(g, p, plan)
+            assert found * aut == count_injective_homs(g, p), h.edges
+            nonzero += found > 0
+        patterns += 1
+    assert patterns == 1244
+    # a witness that only ever agrees on 0 shows nothing
+    assert nonzero > patterns // 2
+
+
+# a cubic graph on 12 nodes (|Aut| = 32) that refinement leaves as one cell
+CUBIC_12 = [(0, 1), (0, 4), (0, 6), (1, 6), (1, 9), (2, 3), (2, 7), (2, 8),
+            (3, 5), (3, 9), (4, 5), (4, 6), (5, 11), (7, 8), (7, 10), (8, 10),
+            (9, 11), (10, 11)]
+
+
+@pytest.mark.parametrize("h", [
+    nx.disjoint_union(nx.cycle_graph(5), nx.cycle_graph(7)),
+    nx.Graph(CUBIC_12)], ids=["C5_C7", "cubic_12"])
+def test_twelve_node_regular_patterns_match_networkx(h):
+    # on 13 nodes, the pattern plus three chords holds one copy of it
+    p = Pattern(from_nx(h))
+    host = Graph.from_edges(13, [*p.graph.edge_list, (12, 0), (12, 5), (3, 8)])
+    assert any(_compile(p).smaller_positions)
+    assert count_subgraphs(host, p) == nx_subgraph_count(host, p) == 1

@@ -31,7 +31,7 @@ def graphs(draw, min_n=0, max_n=8):
 
 
 # library patterns plus arbitrary small ones; every pattern on up to 6
-# nodes has a certified chain, and the fallback has its own tests
+# nodes is certified by refinement alone, and the orbit pass has its own tests
 patterns = st.one_of(st.sampled_from(SMALL_LIBRARY),
                      graphs(max_n=6).map(Pattern))
 

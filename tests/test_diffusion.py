@@ -460,6 +460,10 @@ def test_reverse_sample_contracts():
         oracle.reverse_sample(9)
     with pytest.raises(InputError):
         oracle.reverse_sample(20, score_mode="guess")
+    # no entry exceeds nan or inf, so either would quantize to no edges
+    for threshold in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InputError, match="threshold"):
+            oracle.reverse_sample(20, threshold=threshold)
 
 
 def test_reverse_sample_determinism_and_trajectory():
