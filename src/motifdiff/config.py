@@ -68,6 +68,8 @@ class ScoreConfig:
             raise InputError(f"unknown perm_policy {self.perm_policy!r}")
         if self.mc_samples < 1:
             raise InputError("mc_samples must be at least 1")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.truncation_k < 0:
             raise InputError("truncation_k must be non-negative")
         if not (self.series_ratio_max > 0):

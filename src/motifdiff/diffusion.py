@@ -46,6 +46,11 @@ EXHAUSTIVE_PERM_CAP = 8
 # Largest single array the oracle build may allocate, in bytes.
 ORACLE_BYTES_CAP = 2**30
 
+# Largest (samples x templates) float64 array one batch of reverse steps
+# may hold, in bytes. Past 65,536 templates a batch is one sample, so the
+# sampler's memory there stays that of one sample.
+BATCH_BYTES_CAP = 2**20
+
 # Monte Carlo permutations are drawn one generator call each (about 4 s per
 # million); drawing them in one call would change the stream.
 MC_SAMPLES_CAP = 10**6
@@ -57,6 +62,17 @@ def _check_oracle_bytes(nbytes: int, what: str) -> None:
             f"score oracle: {what} would take {nbytes} bytes, over the"
             f" {ORACLE_BYTES_CAP}-byte cap; use fewer graphs, nodes or"
             f" --mc-samples")
+
+
+def _check_sampling(steps: int, score_mode: str, threshold: float) -> None:
+    """The reverse sampler's argument checks, which the CLI runs before the
+    oracle build."""
+    if steps < 10:
+        raise InputError("steps must be at least 10")
+    if score_mode not in ("direct", "series"):
+        raise InputError(f"unknown score_mode {score_mode!r}")
+    if not math.isfinite(threshold):  # would quantize to no or every edge
+        raise InputError(f"threshold must be finite, got {threshold}")
 
 
 def _log_sum_exp(x: np.ndarray) -> float:
@@ -224,6 +240,8 @@ class ScoreOracle:
         self.num_edge_slots = slots
 
     # -- upper-triangle-vector core --------------------------------------
+    # One state w is an (E,) vector; a batch is (B, E), one sample per row,
+    # and each row gets the bits it would get alone.
 
     def _alpha_beta(self, t: float) -> tuple[float, float]:
         alpha, beta = self.sched.alpha_beta(t)
@@ -235,7 +253,7 @@ class ScoreOracle:
     def _logits(self, w: np.ndarray, alpha: float, beta: float) -> np.ndarray:
         # logmult + (alpha*ip - 0.5*alpha*alpha*ssq) / beta^2, the same
         # operations in the same order, in place in the einsum's result
-        ip = np.einsum("ve,e->v", self._V, w, optimize=False)
+        ip = np.einsum("ve,...e->...v", self._V, w, optimize=False)
         np.multiply(ip, alpha, out=ip)
         np.subtract(ip, np.multiply(self._ssq, 0.5 * alpha * alpha, out=self._buf), out=ip)
         np.divide(ip, beta * beta, out=ip)
@@ -252,29 +270,36 @@ class ScoreOracle:
     def _score_upper(self, w: np.ndarray, t: float) -> np.ndarray:
         alpha, beta = self._alpha_beta(t)
         logits = self._logits(w, alpha, beta)
-        np.subtract(logits, logits.max(), out=logits)
+        np.subtract(logits, logits.max(axis=-1, keepdims=True), out=logits)
         weights = np.exp(logits, out=logits)
-        np.divide(weights, weights.sum(), out=weights)
-        posterior_mean = np.einsum("v,ve->e", weights, self._V, optimize=False)
+        np.divide(weights, weights.sum(axis=-1, keepdims=True), out=weights)
+        posterior_mean = np.einsum("...v,ve->...e", weights, self._V, optimize=False)
         b2 = beta * beta
         return -w / b2 + (alpha / b2) * posterior_mean
 
     def _series_argument(self, w: np.ndarray, alpha: float,
-                         beta: float) -> tuple[np.ndarray, float]:
+                         beta: float) -> tuple[np.ndarray, np.ndarray]:
         """Exponent arguments x = (alpha/beta^2)<template, w> and max |x|."""
-        ip = np.einsum("ve,e->v", self._V, w, optimize=False)
+        ip = np.einsum("ve,...e->...v", self._V, w, optimize=False)
         x = (alpha / (beta * beta)) * ip
-        return x, float(np.abs(x).max()) if x.size else 0.0
+        return x, np.abs(x).max(axis=-1, initial=0.0)
 
-    def _series_upper(self, w: np.ndarray, t: float, order: int) -> np.ndarray:
+    def _series_upper(self, w: np.ndarray, t: float, order: int):
+        """Series scores of a (B, E) batch, and None or (row, error) for the
+        first row whose truncation diverges; the scores stop before it."""
         alpha, beta = self._alpha_beta(t)
         b2 = beta * beta
-        x, ratio = self._series_argument(w, alpha, beta)
-        if ratio > self.cfg.series_ratio_max:
-            raise SeriesDivergenceError(
+        x, ratios = self._series_argument(w, alpha, beta)
+        failure = None
+        over = np.flatnonzero(ratios > self.cfg.series_ratio_max)
+        if over.size:
+            row = int(over[0])
+            ratio = float(ratios[row])
+            failure = (row, SeriesDivergenceError(
                 f"series argument ratio {ratio:.3g} exceeds"
                 f" {self.cfg.series_ratio_max}; truncation would diverge",
-                ratio=ratio)
+                ratio=ratio))
+            w, x = w[:row], x[:row]
         # multiplicity times the self-energy weight, shifted for stability
         # (the shift cancels between numerator and denominator)
         logq = self._logmult - alpha * alpha * (self._ssq - self._ssq_min) / (2.0 * b2)
@@ -285,14 +310,20 @@ class ScoreOracle:
             term = term * x / k
             sigma = sigma + term
         mix = q * sigma
-        denom = float(np.einsum("v->", mix, optimize=False))
-        if not math.isfinite(denom) or denom <= 0.0:
-            raise SeriesDivergenceError(
-                f"series denominator {denom:.3g} is not positive; truncation"
-                f" order {order} is outside its convergent regime",
-                ratio=ratio)
-        numer = np.einsum("v,ve->e", mix, self._V, optimize=False)
-        return -w / b2 + (alpha / b2) * (numer / denom)
+        # row by row: past 8,192 templates a batched "bv->b" sums in
+        # another order than "v->"
+        denoms = [float(np.einsum("v->", row, optimize=False)) for row in mix]
+        for row, denom in enumerate(denoms):
+            if not math.isfinite(denom) or denom <= 0.0:
+                failure = (row, SeriesDivergenceError(
+                    f"series denominator {denom:.3g} is not positive; truncation"
+                    f" order {order} is outside its convergent regime",
+                    ratio=float(ratios[row])))
+                w, mix, denoms = w[:row], mix[:row], denoms[:row]
+                break
+        numer = np.einsum("bv,ve->be", mix, self._V, optimize=False)
+        denom = np.array(denoms, dtype=np.float64)[:, None]
+        return -w / b2 + (alpha / b2) * (numer / denom), failure
 
     # -- full-matrix interface --------------------------------------------
 
@@ -315,51 +346,91 @@ class ScoreOracle:
             order = self.cfg.truncation_k
         elif order < 0:
             raise InputError("series order must be non-negative")
-        s = self._series_upper(upper_vector(self._check_matrix(W)), t, order)
-        return symmetric_from_upper(s, self.n)
+        s, failure = self._series_upper(
+            upper_vector(self._check_matrix(W))[None], t, order)
+        if failure is not None:
+            raise failure[1]
+        return symmetric_from_upper(s[0], self.n)
 
     def series_ratio(self, W, t: float) -> float:
         """Largest exponent argument the series would see; its regime gauge."""
         alpha, beta = self._alpha_beta(t)
-        return self._series_argument(upper_vector(self._check_matrix(W)),
-                                     alpha, beta)[1]
+        return float(self._series_argument(
+            upper_vector(self._check_matrix(W)), alpha, beta)[1])
 
     def reverse_sample(self, steps: int, score_mode: str = "direct",
-                       rng=None, *, threshold: float = 0.5,
-                       trajectory: list | None = None) -> Graph:
-        """Integrate the reverse-time SDE from t_max to t_min and quantize.
+                       rngs=None, *, threshold: float = 0.5,
+                       trajectories: list | None = None) -> list[Graph]:
+        """Integrate the reverse-time SDE from t_max to t_min and quantize,
+        one sample per generator in `rngs` (default: one, from the config
+        seed).
 
         Euler-Maruyama on a uniform grid, score evaluated at the left
-        endpoint of each step. `trajectory`, if given, collects
-        (t, full matrix) states including the final one.
+        endpoint of each step. The samples are stepped together, in batches
+        whose (samples x templates) float64 arrays fit ``BATCH_BYTES_CAP``;
+        each draws from its own generator, and its bits are those it would
+        have alone. `trajectories`, if given, is extended by one list per
+        sample of (t, full matrix) states including the final one. A series
+        divergence raises the error of the lowest-index diverging sample,
+        with that index into `rngs` as the error's ``sample``.
         """
-        if steps < 10:
-            raise InputError("steps must be at least 10")
-        if score_mode not in ("direct", "series"):
-            raise InputError(f"unknown score_mode {score_mode!r}")
-        if not math.isfinite(threshold):  # would quantize to no or every edge
-            raise InputError(f"threshold must be finite, got {threshold}")
-        if rng is None:
-            rng = np.random.default_rng(self.cfg.seed)
+        _check_sampling(steps, score_mode, threshold)
+        if rngs is None:
+            rngs = [np.random.default_rng(self.cfg.seed)]
+        rows = max(1, BATCH_BYTES_CAP // (8 * self.num_templates))
+        graphs = []
+        for start in range(0, len(rngs), rows):
+            batch = rngs[start:start + rows]
+            states = [[] for _ in batch] if trajectories is not None else None
+            w, failure = self._integrate(steps, score_mode, batch, states)
+            if failure is not None:
+                row, exc = failure
+                exc.sample = start + row
+                raise exc
+            graphs += [quantize(symmetric_from_upper(row, self.n), threshold)
+                       for row in w]
+            if trajectories is not None:
+                trajectories += states
+        return graphs
+
+    def _integrate(self, steps: int, score_mode: str, rngs: list,
+                   trajectories: list | None):
+        """One batch's final (B, E) states, and the first series failure."""
         sched = self.sched
         n = self.n
-        slots = self.num_edge_slots
-        w = rng.standard_normal(slots)
+        w = np.empty((len(rngs), self.num_edge_slots))
+        for row, rng in zip(w, rngs):
+            rng.standard_normal(out=row)
+        z = np.empty_like(w)
+        failure = None
         h = (sched.t_max - sched.t_min) / steps
         for step in range(steps):
             t = sched.t_max - step * h
-            if trajectory is not None:
-                trajectory.append((float(t), symmetric_from_upper(w, n)))
+            if trajectories is not None:
+                for states, row in zip(trajectories, w):
+                    states.append((float(t), symmetric_from_upper(row, n)))
             rate = sched.rate(t)
             if score_mode == "direct":
                 s = self._score_upper(w, t)
             else:
-                s = self._series_upper(w, t, self.cfg.truncation_k)
-            z = rng.standard_normal(slots)
-            w = w + h * (0.5 * rate * w + rate * s) + math.sqrt(rate * h) * z
-        if trajectory is not None:
-            trajectory.append((float(sched.t_min), symmetric_from_upper(w, n)))
-        return quantize(symmetric_from_upper(w, n), threshold)
+                s, failed = self._series_upper(w, t, self.cfg.truncation_k)
+                if failed is not None:
+                    # the rows from the diverging one on can only lose to it
+                    failure = failed
+                    w, z = w[:failed[0]], z[:failed[0]]
+                    if not len(w):
+                        break
+            for row, rng in zip(z, rngs):
+                rng.standard_normal(out=row)
+            # w + h*(0.5*rate*w + rate*s) + sqrt(rate*h)*z, in place
+            drift = np.multiply(w, 0.5 * rate)
+            np.add(drift, np.multiply(s, rate, out=s), out=drift)
+            np.add(w, np.multiply(drift, h, out=drift), out=w)
+            np.add(w, np.multiply(z, math.sqrt(rate * h), out=z), out=w)
+        if trajectories is not None:
+            for states, row in zip(trajectories, w):
+                states.append((float(sched.t_min), symmetric_from_upper(row, n)))
+        return w, failure
 
 
 # ---------------------------------------------------------------------------

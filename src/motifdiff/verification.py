@@ -47,6 +47,12 @@ def _report(suite: str, checks: int, failures: list, max_error: float,
     }
 
 
+def _seeded(seed: int):
+    if seed < 0:  # numpy would raise a bare ValueError
+        raise InputError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _random_graph(n: int, prob: float, rng) -> Graph:
     upper = np.triu(rng.random((n, n)) < prob, 1).astype(np.uint8)
     return Graph(upper + upper.T)
@@ -60,7 +66,7 @@ def run_count_identity(n_max: int = 6, trials: int = 200, seed: int = 0) -> dict
     """
     if n_max < 2:
         raise InputError(f"count-identity needs n_max >= 2, got {n_max}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     patterns = [p for p in PATTERN_LIBRARY.values() if p.k <= 6]
     compiled = [(p, automorphism_count(p.graph), _compile(p)) for p in patterns]
     checks = 0
@@ -90,7 +96,7 @@ def run_finitediff(seed: int = 0, tolerance: float = 1e-4,
     minus W over beta squared, and only that sign matches the derivative of
     the mixture log-density.
     """
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     sched = NoiseSchedule()
     cfg = ScoreConfig(perm_policy="exhaustive")
     times = (0.2, 0.5, 0.9)
@@ -134,7 +140,7 @@ def run_series(seed: int = 0, tolerance: float = 1e-3, order: int = 12,
     Also checks that two extra orders never hurt (unless already at float
     noise), which is what convergence looks like numerically.
     """
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     n = 4
     # late enough that the exponent arguments stay below 1, early enough
     # that truncation error is actually visible above float noise
@@ -178,7 +184,7 @@ def run_basis(seed: int = 0, tolerance: float = 1e-9,
     """Moment form versus basis-polynomial form, order by order."""
     if any(n < 1 for n in n_values):
         raise InputError(f"basis needs n >= 1, got {list(n_values)}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     checks = 0
     max_disc = 0.0
     failures: list[str] = []
@@ -212,7 +218,7 @@ def run_equivariance(seed: int = 0, tolerance: float = 1e-12,
                      trials: int = 2) -> dict:
     """Invariance of Q and equivariance of the marked form under every
     permutation, exhaustively."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     checks = 0
     max_rel = 0.0
     failures: list[str] = []

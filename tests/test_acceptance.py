@@ -103,10 +103,8 @@ def test_criterion_6_end_to_end_substructure_preservation():
         n = pattern.k + 1  # one pendant node keeps the planted count at 1
         train = plant_pattern_dataset(pattern, n=n, count=50, seed=100)
         oracle = ScoreOracle(train, n, cfg=cfg)
-        graphs = []
-        for idx in range(100):
-            rng = np.random.default_rng([2024, idx])
-            graphs.append(oracle.reverse_sample(500, rng=rng))
+        rngs = [np.random.default_rng([2024, idx]) for idx in range(100)]
+        graphs = oracle.reverse_sample(500, rngs=rngs)
         report = evaluate(train, Dataset(graphs=tuple(graphs)), [pattern])
         tvs[name] = report.per_pattern[name].tv
     elapsed = time.monotonic() - start

@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from motifdiff import graphs
 from motifdiff.cli import _default_threads, build_parser, main
 from motifdiff.dataio import read_dataset, write_dataset
 from motifdiff.diffusion import NoiseSchedule, ScoreConfig, ScoreOracle
+from motifdiff.errors import SeriesDivergenceError
 from motifdiff.graphs import Dataset, Graph
 
 from conftest import src_env
@@ -146,6 +148,92 @@ def test_sample_builds_one_oracle_in_the_parent(train_path, tmp_path,
             assert builds.read_text().split() == [str(os.getpid())]
         outs.append((out.read_bytes(), traj.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_sample_batches_match_one_sample_calls(train_path, tmp_path):
+    # worker k steps samples k, k+w, ... as one batch; each sample's bytes
+    # are those of a one-sample call on its own stream [seed, idx]
+    files = []
+    for threads in ("1", "2", "3"):
+        out = tmp_path / f"gen_{threads}.jsonl"
+        traj = tmp_path / f"traj_{threads}.jsonl"
+        assert run(["sample", "--train", train_path, "--num-samples", "5",
+                    "--steps", "12", "--seed", "5", "--threads", threads,
+                    "--trajectories", str(traj), "--out", str(out)]) == 0
+        files.append((out.read_bytes(), traj.read_bytes()))
+    assert files[0] == files[1] == files[2]
+    oracle = ScoreOracle(read_dataset(train_path), 4, cfg=ScoreConfig(seed=5))
+    graphs, lines = [], []
+    for idx in range(5):
+        trajectories = []
+        graphs += oracle.reverse_sample(
+            12, rngs=[np.random.default_rng([5, idx])],
+            trajectories=trajectories)
+        lines += [json.dumps({"sample": idx, "t": t, "W": W.tolist()},
+                             sort_keys=True) + "\n"
+                  for t, W in trajectories[0]]
+    assert read_dataset(tmp_path / "gen_1.jsonl").graphs == tuple(graphs)
+    assert files[0][1] == "".join(lines).encode()
+
+
+def test_sample_divergence_reports_the_lowest_failing_sample(train_path,
+                                                             tmp_path, capsys):
+    # at seed 25 samples 2, 4 and 6 of 7 diverge, 4 and 6 at earlier steps
+    # than 2; at 3 workers each sits in its own share
+    oracle = ScoreOracle(read_dataset(train_path), 4,
+                         sched=NoiseSchedule(t_min=0.3))
+    failing = {}
+    for idx in range(7):
+        try:
+            oracle.reverse_sample(20, "series",
+                                  rngs=[np.random.default_rng([25, idx])])
+        except SeriesDivergenceError as exc:
+            failing[idx] = str(exc)
+    assert sorted(failing) == [2, 4, 6]
+    with pytest.raises(SeriesDivergenceError) as err:
+        oracle.reverse_sample(20, "series", rngs=[
+            np.random.default_rng([25, idx]) for idx in range(7)])
+    assert err.value.sample == 2 and str(err.value) == failing[2]
+    out = tmp_path / "g.jsonl"
+    for threads in ("1", "2", "3"):
+        assert run(["sample", "--train", train_path, "--num-samples", "7",
+                    "--steps", "20", "--score", "series", "--t-min", "0.3",
+                    "--seed", "25", "--threads", threads,
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {failing[2]}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--steps", "9", "steps must be at least 10"),
+    ("--threshold", "nan", "threshold must be finite"),
+    ("--seed", "-1", "seed must be non-negative")])
+def test_sample_refuses_flags_before_the_oracle_build(flag, value, message,
+                                                      train_path, tmp_path,
+                                                      capsys, monkeypatch):
+    def never(self, *args, **kwargs):
+        raise AssertionError("the oracle was built before the flags were checked")
+
+    monkeypatch.setattr(ScoreOracle, "__init__", never)
+    out = tmp_path / "g.jsonl"
+    assert run(["sample", "--train", train_path, "--num-samples", "2",
+                "--threads", "1", flag, value, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--pattern", "c3", "--n", "4", "--count", "2"],
+    ["sample", "--num-samples", "2", "--steps", "10", "--threads", "1"],
+    ["verify", "--suite", "count-identity"],
+    ["verify", "--suite", "all"]])
+def test_negative_seed_exits_2(argv, train_path, tmp_path, capsys):
+    if argv[0] == "sample":
+        argv = argv + ["--train", train_path]
+    out = tmp_path / "out.json"
+    assert run(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_requires_n_for_mixed_sizes(tmp_path):

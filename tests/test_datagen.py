@@ -1,12 +1,17 @@
 """Planted-pattern dataset generation."""
 
+import random
+
+import numpy as np
 import pytest
 
+from motifdiff import datagen
+from motifdiff.cli import main
 from motifdiff.counting import count_subgraphs
-from motifdiff.datagen import plant_pattern_dataset
+from motifdiff.datagen import DECORATIONS, _Stream, plant_pattern_dataset
 from motifdiff.errors import GenerationError, InputError
 from motifdiff.graphs import Graph, Pattern, canonical_form
-from motifdiff.patterns import get_pattern
+from motifdiff.patterns import PATTERN_NAMES, get_pattern
 
 from conftest import is_connected
 
@@ -74,6 +79,8 @@ def test_input_validation():
                               decoration="clique")
     with pytest.raises(InputError):
         plant_pattern_dataset(get_pattern("c3"), n=4, count=1, max_retries=0)
+    with pytest.raises(InputError, match="seed must be non-negative"):
+        plant_pattern_dataset(get_pattern("c3"), n=4, count=1, seed=-1)
 
 
 def test_metadata_records_the_run():
@@ -87,3 +94,48 @@ def test_metadata_records_the_run():
     assert md["seed"] == "9"
     assert md["decoration"] == "tree"
     assert md["monitors"] == "c3"
+
+
+def test_stream_matches_numpy():
+    # permutation and integers interleaved, as tree decoration draws them
+    picks = random.Random(19)
+    for seed in (0, 2**32 - 1, 2**32, 2**64 + 5):
+        for idx in (0, 1, 255, 2**16, 9999, 10**4,
+                    *(picks.randrange(10**4) for _ in range(20))):
+            ours, numpys = _Stream([seed, idx]), np.random.default_rng([seed, idx])
+            for _ in range(8):
+                if picks.random() < 0.5:
+                    n = picks.randrange(40)
+                    assert ours.permutation(n) == numpys.permutation(n).tolist()
+                else:
+                    high = picks.choice((1, 2, 3, 7, 12, 2**31 + 5, 2**32 - 1))
+                    assert ours.integers(high) == int(numpys.integers(0, high))
+
+
+class _NumpyStream:
+    """The reference: numpy's own generator behind the same two methods."""
+
+    def __init__(self, entropy):
+        self._rng = np.random.default_rng(entropy)
+
+    def permutation(self, n):
+        return self._rng.permutation(n).tolist()
+
+    def integers(self, high):
+        return int(self._rng.integers(0, high))
+
+
+@pytest.mark.parametrize("decoration", DECORATIONS)
+def test_gen_data_bytes_match_numpy_reference(decoration, tmp_path,
+                                              monkeypatch):
+    ours, reference = tmp_path / "ours.jsonl", tmp_path / "reference.jsonl"
+    for name in PATTERN_NAMES:
+        argv = ["gen-data", "--pattern", name,
+                "--n", str(get_pattern(name).k + 2), "--count", "4",
+                "--decoration", decoration, "--seed", str(2**32 + 3),
+                "--monitor", "c3,c4", "--out"]
+        assert main(argv + [str(ours)]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(datagen, "_Stream", _NumpyStream)
+            assert main(argv + [str(reference)]) == 0
+        assert ours.read_bytes() == reference.read_bytes(), name

@@ -128,6 +128,8 @@ def test_score_config_validation():
         ScoreConfig(truncation_k=-1)
     with pytest.raises(InputError):
         ScoreConfig(series_ratio_max=0.0)
+    with pytest.raises(InputError, match="seed must be non-negative"):
+        ScoreConfig(seed=-1)
 
 
 def test_oracle_template_table():
@@ -377,6 +379,57 @@ def test_in_place_step_matches_the_expression_bit_for_bit():
                               -w / b2 + (alpha / b2) * mean)
 
 
+def test_batched_rows_match_one_row_calls():
+    # the sampler steps (B, E) batches; each row must get the bits of the
+    # one-row calls, on both sides of einsum's 8,192-element buffer (past
+    # it, a batched "bv->b" sum does differ from "v->")
+    rng = np.random.default_rng(31)
+    for V, E in ((12, 6), (2520, 21), (9000, 28)):
+        T = (rng.random((V, E)) < 0.5).astype(np.float64)
+        w = rng.standard_normal((4, E))
+        x = rng.standard_normal((4, V))
+        ip = np.einsum("ve,...e->...v", T, w, optimize=False)
+        mean = np.einsum("...v,ve->...e", x, T, optimize=False)
+        sums = x.sum(axis=-1, keepdims=True)
+        for b in range(4):
+            assert np.array_equal(ip[b], np.einsum("ve,e->v", T, w[b], optimize=False))
+            assert np.array_equal(mean[b], np.einsum("v,ve->e", x[b], T, optimize=False))
+            assert sums[b, 0] == x[b].sum()
+    oracle = ScoreOracle(small_dataset(6, 4, 11), 6, cfg=EXH)
+    w = 0.5 * rng.standard_normal((5, oracle.num_edge_slots))
+    for t in (1.0, 0.3, 0.02):
+        scores = oracle._score_upper(w, t)
+        for b in range(5):
+            assert np.array_equal(scores[b], oracle._score_upper(w[b], t))
+    series, failure = oracle._series_upper(w, 0.9, 12)
+    assert failure is None
+    for b in range(5):
+        one, failure = oracle._series_upper(w[b:b + 1], 0.9, 12)
+        assert failure is None and np.array_equal(series[b], one[0])
+
+
+def test_reverse_sample_batches_match_single_samples(monkeypatch):
+    oracle = ScoreOracle(small_dataset(5, 3, 2), 5, cfg=EXH)
+
+    def sample(indices):
+        trajectories = []
+        graphs = oracle.reverse_sample(
+            15, rngs=[np.random.default_rng([3, i]) for i in indices],
+            trajectories=trajectories)
+        return graphs, [[(t, W.tobytes()) for t, W in states]
+                        for states in trajectories]
+
+    singles = [sample([i]) for i in range(5)]
+    want = ([g for graphs, _ in singles for g in graphs],
+            [traj for _, trajs in singles for traj in trajs])
+    assert sample(range(5)) == want
+    # one and two rows per batch
+    for rows in (1, 2):
+        monkeypatch.setattr(diffusion, "BATCH_BYTES_CAP",
+                            rows * 8 * oracle.num_templates)
+        assert sample(range(5)) == want
+
+
 def test_density_invariance_and_score_equivariance():
     ds = small_dataset(4, 3, 1)
     oracle = ScoreOracle(ds, 4, cfg=EXH)
@@ -469,10 +522,11 @@ def test_reverse_sample_contracts():
 def test_reverse_sample_determinism_and_trajectory():
     ds = small_dataset(4, 2, 0)
     oracle = ScoreOracle(ds, 4, cfg=EXH)
-    traj = []
-    g1 = oracle.reverse_sample(12, rng=np.random.default_rng(3),
-                               trajectory=traj)
-    g2 = oracle.reverse_sample(12, rng=np.random.default_rng(3))
+    trajectories = []
+    (g1,) = oracle.reverse_sample(12, rngs=[np.random.default_rng(3)],
+                                  trajectories=trajectories)
+    (g2,) = oracle.reverse_sample(12, rngs=[np.random.default_rng(3)])
+    (traj,) = trajectories
     assert g1 == g2
     assert g1.n == 4
     assert len(traj) == 13  # one state per step plus the final one

@@ -92,7 +92,10 @@ def test_count_and_eval_run_without_numpy(tmp_path):
                 if rng.random() < 0.4]))
         motifdiff.write_dataset(motifdiff.Dataset(graphs=tuple(graphs)),
                                 tmp_path / f"{label}.jsonl")
-    calls = [["-c", "import motifdiff; print(len(motifdiff.__all__))"]]
+    calls = [["-c", "import motifdiff; print(len(motifdiff.__all__))"],
+             ["-m", "motifdiff", "gen-data", "--pattern", "c4", "--n", "7",
+              "--count", "5", "--seed", str(2**32 + 1), "--monitor", "c3",
+              "--out", "/dev/stdout"]]
     for threads in ("1", "2"):
         calls += [
             ["-m", "motifdiff", "count", "--in", "train.jsonl", "--patterns",

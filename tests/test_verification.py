@@ -18,6 +18,12 @@ def test_suite_registry():
         run_suite("nope")
 
 
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_negative_seed_is_refused(name):
+    with pytest.raises(InputError, match="seed must be non-negative"):
+        run_suite(name, seed=-1)
+
+
 def test_count_identity_small():
     rep = run_count_identity(n_max=4, trials=30, seed=2)
     assert set(rep) == REPORT_KEYS
