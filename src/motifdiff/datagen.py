@@ -15,7 +15,8 @@ imports numpy.
 from __future__ import annotations
 
 from .counting import _compile, count_subgraphs
-from .errors import GenerationError, InputError
+from .dataio import HOST_NODE_CAP
+from .errors import CapacityError, GenerationError, InputError
 from .graphs import Dataset, Graph, Pattern
 
 DECORATIONS = ("none", "tree")
@@ -136,6 +137,9 @@ def plant_pattern_dataset(pattern: Pattern, n: int, count: int,
     if pattern.k > n:
         raise InputError(
             f"pattern has {pattern.k} nodes but graphs only {n}")
+    if n > HOST_NODE_CAP:  # the dataset reader would refuse the file
+        raise CapacityError(
+            f"{n} nodes exceeds the host cap of {HOST_NODE_CAP}")
     if count < 1:
         raise InputError("count must be at least 1")
     if seed < 0:

@@ -371,8 +371,7 @@ class ScoreOracle:
         each draws from its own generator, and its bits are those it would
         have alone. `trajectories`, if given, is extended by one list per
         sample of (t, full matrix) states including the final one. A series
-        divergence raises the error of the lowest-index diverging sample,
-        with that index into `rngs` as the error's ``sample``.
+        divergence raises the error of the lowest-index diverging sample.
         """
         _check_sampling(steps, score_mode, threshold)
         if rngs is None:
@@ -384,9 +383,7 @@ class ScoreOracle:
             states = [[] for _ in batch] if trajectories is not None else None
             w, failure = self._integrate(steps, score_mode, batch, states)
             if failure is not None:
-                row, exc = failure
-                exc.sample = start + row
-                raise exc
+                raise failure[1]
             graphs += [quantize(symmetric_from_upper(row, self.n), threshold)
                        for row in w]
             if trajectories is not None:

@@ -29,12 +29,9 @@ class SeriesDivergenceError(NumericalRegimeError):
     """Truncated series evaluation diverged.
 
     Carries the diagnostic ratio alpha_t * max|<template, W>| / beta_t^2;
-    the truncation is only meaningful when that ratio is moderate. From
-    ``ScoreOracle.reverse_sample``, ``sample`` is the diverging sample's
-    index into its generators.
+    the truncation is only meaningful when that ratio is moderate.
     """
 
     def __init__(self, message: str, ratio: float | None = None):
         super().__init__(message)
         self.ratio = ratio
-        self.sample: int | None = None

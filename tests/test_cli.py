@@ -99,6 +99,18 @@ def test_gen_data_deterministic_bytes(tmp_path):
                 "--out", str(a)]) == 2
 
 
+def test_gen_data_refuses_hosts_its_reader_refuses(tmp_path, capsys):
+    out = tmp_path / "big.jsonl"
+    assert run(["gen-data", "--pattern", "c3", "--n", "1001", "--count", "1",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 1001 nodes exceeds the host cap of 1000\n")
+    assert not out.exists()
+    assert run(["gen-data", "--pattern", "c3", "--n", "1000", "--count", "1",
+                "--out", str(out)]) == 0
+    assert read_dataset(out).graphs[0].n == 1000
+
+
 def test_sample_deterministic_and_trajectories(train_path, tmp_path):
     outs, trajs = [], []
     for tag in ("x", "y"):
@@ -151,8 +163,9 @@ def test_sample_builds_one_oracle_in_the_parent(train_path, tmp_path,
 
 
 def test_sample_batches_match_one_sample_calls(train_path, tmp_path):
-    # worker k steps samples k, k+w, ... as one batch; each sample's bytes
-    # are those of a one-sample call on its own stream [seed, idx]
+    # worker k steps one contiguous range of samples as one batch; each
+    # sample's bytes are those of a one-sample call on its own stream
+    # [seed, idx]
     files = []
     for threads in ("1", "2", "3"):
         out = tmp_path / f"gen_{threads}.jsonl"
@@ -179,7 +192,9 @@ def test_sample_batches_match_one_sample_calls(train_path, tmp_path):
 def test_sample_divergence_reports_the_lowest_failing_sample(train_path,
                                                              tmp_path, capsys):
     # at seed 25 samples 2, 4 and 6 of 7 diverge, 4 and 6 at earlier steps
-    # than 2; at 3 workers each sits in its own share
+    # than 2; one worker steps all three in one batch, and at 2 and 3
+    # workers (ranges 0-2, 3-6 and 0-1, 2-3, 4-6) sample 2 is in the first
+    # failing share
     oracle = ScoreOracle(read_dataset(train_path), 4,
                          sched=NoiseSchedule(t_min=0.3))
     failing = {}
@@ -193,7 +208,7 @@ def test_sample_divergence_reports_the_lowest_failing_sample(train_path,
     with pytest.raises(SeriesDivergenceError) as err:
         oracle.reverse_sample(20, "series", rngs=[
             np.random.default_rng([25, idx]) for idx in range(7)])
-    assert err.value.sample == 2 and str(err.value) == failing[2]
+    assert str(err.value) == failing[2]
     out = tmp_path / "g.jsonl"
     for threads in ("1", "2", "3"):
         assert run(["sample", "--train", train_path, "--num-samples", "7",
@@ -313,6 +328,22 @@ def test_verify_failure_exit_code(tmp_path):
     assert rc == 1
     report = json.loads((tmp_path / "v.json").read_text())
     assert report["passed"] is False
+
+
+def test_verify_checks_each_suite_against_the_schema(tmp_path, capsys,
+                                                     monkeypatch):
+    from motifdiff import verification
+
+    def no_checks(name, **overrides):
+        return {"suite": name, "passed": True, "failures": 0,
+                "failure_examples": [], "max_error": 0.0, "tolerance": 0.0,
+                "params": {}}
+
+    monkeypatch.setattr(verification, "run_suite", no_checks)
+    out = tmp_path / "v.json"
+    assert run(["verify", "--suite", "basis", "--out", str(out)]) == 2
+    assert "'checks' is a required property" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_count_identity_overrides(tmp_path):

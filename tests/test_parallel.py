@@ -12,7 +12,7 @@ import pytest
 
 from motifdiff import counting
 from motifdiff.cli import main
-from motifdiff.errors import CapacityError
+from motifdiff.errors import CapacityError, SeriesDivergenceError
 from motifdiff.parallel import ordered_map
 
 from conftest import src_env
@@ -84,6 +84,16 @@ def test_a_worker_error_keeps_its_type_and_message(deadline, monkeypatch,
 
     with pytest.raises(CapacityError, match="^item 2 is over the cap$"):
         ordered_map(refuse, range(5), threads=2)
+
+    def diverge(x):
+        if x == 3:
+            raise SeriesDivergenceError("item 3 diverged", ratio=3.5)
+        return x
+
+    with pytest.raises(SeriesDivergenceError,
+                       match="^item 3 diverged$") as err:
+        ordered_map(diverge, range(5), threads=2)
+    assert err.value.ratio == 3.5
 
     data = str(tmp_path / "train.jsonl")
     assert main(["gen-data", "--pattern", "c3", "--n", "4", "--count", "4",
