@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TextIO
 
 from .errors import CapacityError, InputError
 from .graphs import Dataset, Graph, graph_from_edge_list
@@ -86,15 +85,10 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u + 1, v + 1] for u, v in g.edge_list]}
 
 
-def write_dataset_stream(ds: Dataset, fh: TextIO) -> None:
-    if ds.metadata:
-        fh.write(json.dumps({"meta": dict(sorted(ds.metadata.items()))},
-                            sort_keys=True) + "\n")
-    for g in ds.graphs:
-        fh.write(json.dumps(graph_to_json_dict(g), sort_keys=True) + "\n")
-
-
 def write_dataset(ds: Dataset, path) -> None:
-    p = Path(path)
-    with p.open("w", encoding="utf-8") as fh:
-        write_dataset_stream(ds, fh)
+    with Path(path).open("w", encoding="utf-8") as fh:
+        if ds.metadata:
+            fh.write(json.dumps({"meta": dict(sorted(ds.metadata.items()))},
+                                sort_keys=True) + "\n")
+        for g in ds.graphs:
+            fh.write(json.dumps(graph_to_json_dict(g), sort_keys=True) + "\n")

@@ -42,14 +42,18 @@ BASIS_PATTERN_CAP = 6
 ASSIGNMENT_CAP = 10**6
 
 
-def _injective_assignments(n: int, k: int) -> np.ndarray:
-    """The injective maps [k] -> [n] as read-only intp rows in lexicographic
-    order, the order of itertools' k-permutations; no rows when k > n."""
+def _require_assignments(n: int, k: int) -> None:
     count = math.perm(n, k)
     if count > ASSIGNMENT_CAP:
         raise CapacityError(
             f"{k}-node monomials on {n} nodes need {count:,} injective"
             f" assignments; capped at {ASSIGNMENT_CAP:,}")
+
+
+def _injective_assignments(n: int, k: int) -> np.ndarray:
+    """The injective maps [k] -> [n] as read-only intp rows in lexicographic
+    order, the order of itertools' k-permutations; no rows when k > n."""
+    _require_assignments(n, k)
     table = np.zeros((int(k <= n), max(k - n, 0)), dtype=np.intp)
     for m in range(max(n - k, 0) + 1, n + 1):
         # block h: head h, then the other m-1 values in the previous table's

@@ -3,7 +3,7 @@
 Outputs are validated against these before being written, so a schema
 violation is a bug in this package, not bad user input; validation failures
 therefore raise ContractError. The checker here covers only the keywords
-these schemas use, and reports the violation jsonschema would, in its words.
+these schemas use, and names the first violation by its JSON path.
 """
 
 from __future__ import annotations
@@ -140,14 +140,14 @@ def _is(x, kind: str) -> bool:
         kind == "integer" and isinstance(x, float) and x.is_integer())
 
 
-def _errors(x, schema, path=()):
-    """(path, message) of each violation, in jsonschema's order and words,
-    for the keywords the schemas above use."""
+def _check(x, schema, path: tuple) -> None:
+    """Raise ContractError at the first violation of schema in x, depth
+    first in schema key order, for the keywords the schemas above use."""
     obj, arr, num = isinstance(x, dict), isinstance(x, list), _is(x, "number")
     for key, value in schema.items():
-        below = []  # (item, its schema, its key) to check next
+        problem, below = None, []  # below: (item, its schema, its key)
         if key == "type" and not _is(x, value):
-            yield path, f"{x!r} is not of type {value!r}"
+            problem = f"expected {value}, got {x!r}"
         elif key == "properties" and obj:
             below = [(x[k], sub, k) for k, sub in value.items() if k in x]
         elif key == "patternProperties" and obj:
@@ -155,40 +155,30 @@ def _errors(x, schema, path=()):
                      for k, item in x.items() if re.search(pattern, k)]
         elif key == "additionalProperties" and obj:
             patterns = "|".join(schema.get("patternProperties", {}))
-            extras = sorted(k for k in x if k not in schema.get("properties", {})
-                            and not (patterns and re.search(patterns, k)))
-            names, one = ", ".join(map(repr, extras)), len(extras) == 1
+            extras = [k for k in x if k not in schema.get("properties", {})
+                      and not (patterns and re.search(patterns, k))]
             if isinstance(value, dict):
                 below = [(x[k], value, k) for k in extras]
-            elif not value and extras and "patternProperties" in schema:
-                regexes = ", ".join(map(repr, sorted(schema["patternProperties"])))
-                yield path, (f"{names} {'does' if one else 'do'} not match any"
-                             f" of the regexes: {regexes}")
             elif not value and extras:
-                yield path, (f"Additional properties are not allowed ({names}"
-                             f" {'was' if one else 'were'} unexpected)")
+                problem = f"unexpected key {extras[0]!r}"
         elif key == "required" and obj:
-            for k in value:
-                if k not in x:
-                    yield path, f"{k!r} is a required property"
+            problem = next((f"missing key {k!r}" for k in value if k not in x),
+                           None)
         elif key == "items" and arr:
             below = [(item, value, i) for i, item in enumerate(x)]
         elif key == "minItems" and arr and len(x) < value:
-            yield path, f"{x!r} {'should be non-empty' if value == 1 else 'is too short'}"
+            problem = f"{len(x)} items, fewer than {value}"
         elif key == "minimum" and num and x < value:
-            yield path, f"{x!r} is less than the minimum of {value!r}"
+            problem = f"{x!r} is below the minimum {value!r}"
         elif key == "maximum" and num and x > value:
-            yield path, f"{x!r} is greater than the maximum of {value!r}"
+            problem = f"{x!r} is above the maximum {value!r}"
+        if problem:
+            where = "".join(f".{k}" if str(k).isidentifier() else f"[{k!r}]"
+                            for k in path)
+            raise ContractError(f"output failed its schema at ${where}: {problem}")
         for item, sub, k in below:
-            yield from _errors(item, sub, path + (k,))
+            _check(item, sub, path + (k,))
 
 
 def validate_output(obj, schema) -> None:
-    # jsonschema's best match: the shallowest violation, then the greatest
-    # path among siblings, and the first of those. Its last tie-break, a
-    # type mismatch, never decides here: violations at one path all come
-    # from one schema.
-    error = max(_errors(obj, schema), default=None,
-                key=lambda e: (-len(e[0]), e[0]))
-    if error is not None:
-        raise ContractError(f"output failed its schema: {error[1]}")
+    _check(obj, schema, ())

@@ -20,7 +20,8 @@ from .diffusion import (ScoreOracle, random_symmetric, permute_matrix,
 from .errors import InputError
 from .graphs import Dataset, Graph, Pattern, automorphism_count
 from .patterns import PATTERN_LIBRARY, derive_marked_patterns
-from .polynomials import equivariant_basis, invariant_basis, monomial_sum
+from .polynomials import (_require_assignments, _require_basis_pattern,
+                          equivariant_basis, invariant_basis, monomial_sum)
 
 
 def check_tolerance(tolerance: float) -> None:
@@ -73,6 +74,8 @@ def run_count_identity(n_max: int = 6, trials: int = 200, seed: int = 0) -> dict
     failures: list[str] = []
     for trial in range(trials):
         n = int(rng.integers(2, n_max + 1))
+        for p in patterns:  # refuse an oversized n before drawing its graph
+            _require_assignments(n, p.k)
         g = _random_graph(n, float(rng.uniform(0.15, 0.7)), rng)
         adj = g.adj.astype(np.int64)
         for p, aut, plan in compiled:
@@ -219,11 +222,14 @@ def run_equivariance(seed: int = 0, tolerance: float = 1e-12,
     """Invariance of Q and equivariance of the marked form under every
     permutation, exhaustively."""
     rng = _seeded(seed)
+    sizes = [(n, *_equivariance_patterns(n)) for n in n_values]
+    for _, unmarked, _ in sizes:  # refuse an oversized pattern before any W
+        for p in unmarked:
+            _require_basis_pattern(p, marked=False)
     checks = 0
     max_rel = 0.0
     failures: list[str] = []
-    for n in n_values:
-        unmarked, marked = _equivariance_patterns(n)
+    for n, unmarked, marked in sizes:
         for trial in range(trials):
             W = random_symmetric(n, rng)
             inv_base = {p.name: invariant_basis(W, p) for p in unmarked}

@@ -342,7 +342,8 @@ def test_verify_checks_each_suite_against_the_schema(tmp_path, capsys,
     monkeypatch.setattr(verification, "run_suite", no_checks)
     out = tmp_path / "v.json"
     assert run(["verify", "--suite", "basis", "--out", str(out)]) == 2
-    assert "'checks' is a required property" in capsys.readouterr().err
+    assert ("output failed its schema at $.suites[0]: missing key 'checks'"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -416,6 +417,33 @@ def test_verify_past_assignment_cap_exits_2(tmp_path, capsys):
     assert run(["verify", "--suite", "count-identity", "--n", "30",
                 "--out", str(out)]) == 2
     assert "injective assignments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite, refusal", [
+    ("count-identity", "injective assignments"),
+    ("equivariance", "capped at 6-node patterns"),
+])
+def test_verify_refuses_a_large_n_before_drawing(suite, refusal, tmp_path,
+                                                 capsys, monkeypatch):
+    # --n 100000 would draw arrays of tens of GB; every n past the caps
+    # (12 for count-identity, 6 for equivariance) must be refused first
+    from motifdiff import verification
+
+    def sized(draw, cap):
+        def guarded(n, *args):
+            assert n <= cap, f"drew an n={n} array before the size check"
+            return draw(n, *args)
+        return guarded
+
+    monkeypatch.setattr(verification, "_random_graph",
+                        sized(verification._random_graph, 12))
+    monkeypatch.setattr(verification, "random_symmetric",
+                        sized(verification.random_symmetric, 6))
+    out = tmp_path / "v.json"
+    assert run(["verify", "--suite", suite, "--n", "100000",
+                "--out", str(out)]) == 2
+    assert refusal in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -38,7 +38,8 @@ except ContractError as exc:
     loaded, raised = done.stdout.splitlines()
     assert loaded == "[]"
     # the checker is the package's own; jsonschema is only a test witness
-    assert raised == "False output failed its schema: -1 is less than the minimum of 0"
+    assert raised == ("False output failed its schema at $.sample:"
+                      " -1 is below the minimum 0")
 
 
 def test_log_density_does_not_load_scipy():
