@@ -178,47 +178,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# The verify flags each suite reads, as flag -> runner keyword. A flag the
-# selected suite does not read is refused; under --suite all, each suite
-# gets the flags it reads.
-_VERIFY_FLAGS = {
-    "count-identity": {"seed": "seed", "trials": "trials", "n": "n_max"},
-    "finitediff": {"seed": "seed", "tolerance": "tolerance"},
-    "series": {"seed": "seed", "tolerance": "tolerance", "trials": "trials",
-               "k": "order"},
-    "basis": {"seed": "seed", "tolerance": "tolerance", "n": "n_values",
-              "k": "orders"},
-    "equivariance": {"seed": "seed", "tolerance": "tolerance",
-                     "trials": "trials", "n": "n_values"},
-}
-# runner keywords that take a tuple where the flag gives one number
-_TUPLE_KEYWORDS = {"n_values": lambda n: (n,),
-                   "orders": lambda k: tuple(range(k + 1))}
-
-
 def cmd_verify(args) -> int:
-    from .verification import check_tolerance, run_suite
+    from .verification import run_suites
 
-    flags = {flag for table in _VERIFY_FLAGS.values() for flag in table}
-    given = {flag: getattr(args, flag) for flag in sorted(flags)
+    flags = {flag: getattr(args, flag)
+             for flag in ("n", "k", "trials", "seed", "tolerance")
              if getattr(args, flag) is not None}
-    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    if args.suite != "all":
-        unread = [flag for flag in given if flag not in _VERIFY_FLAGS[args.suite]]
-        if unread:
-            raise InputError(
-                f"suite {args.suite} does not read "
-                + ", ".join(f"--{flag}" for flag in unread))
-    if args.tolerance is not None:  # before --suite all runs count-identity
-        check_tolerance(args.tolerance)
-    suites = []
-    for name in names:
-        overrides = {}
-        for flag, keyword in _VERIFY_FLAGS[name].items():
-            if flag in given:
-                as_tuple = _TUPLE_KEYWORDS.get(keyword)
-                overrides[keyword] = as_tuple(given[flag]) if as_tuple else given[flag]
-        suites.append(run_suite(name, **overrides))
+    suites = run_suites(args.suite, flags)
     report = {"suites": suites, "passed": all(s["passed"] for s in suites)}
     validate_output(report, VERIFY_REPORT)
     _emit(report, args.out)

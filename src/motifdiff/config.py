@@ -23,6 +23,9 @@ class NoiseSchedule:
     def __post_init__(self):
         if not (0 < self.beta_min < self.beta_max):
             raise InputError("need 0 < beta_min < beta_max")
+        # nan fails the check above, which leaves beta_min finite
+        if self.beta_max == math.inf:
+            raise InputError("beta_max must be finite, got inf")
         if not (0 < self.t_min < self.t_max <= 1.0):
             raise InputError("need 0 < t_min < t_max <= 1")
 

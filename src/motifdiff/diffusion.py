@@ -462,6 +462,14 @@ class BasisExpansionReport:
         return max(self.f_discrepancy, self.g_discrepancy)
 
 
+def _require_verifiable(n: int, k: int) -> None:
+    if n > VERIFY_NODE_CAP or k > VERIFY_ORDER_CAP:
+        raise CapacityError(
+            f"term verification enumerates the n! permutations and the set"
+            f" partitions of 2k+2 index positions; capped at"
+            f" n<={VERIFY_NODE_CAP}, k<={VERIFY_ORDER_CAP}")
+
+
 def verify_basis_expansion(W, k: int, dataset: Dataset) -> BasisExpansionReport:
     """Check the order-k term of the series score against its polynomial form.
 
@@ -475,11 +483,7 @@ def verify_basis_expansion(W, k: int, dataset: Dataset) -> BasisExpansionReport:
     """
     arr = validate_symmetric(W)
     n = arr.shape[0]
-    if n > VERIFY_NODE_CAP or k > VERIFY_ORDER_CAP:
-        raise CapacityError(
-            f"term verification enumerates the n! permutations and the set"
-            f" partitions of 2k+2 index positions; capped at"
-            f" n<={VERIFY_NODE_CAP}, k<={VERIFY_ORDER_CAP}")
+    _require_verifiable(n, k)
     if k < 0:
         raise InputError("order k must be non-negative")
     graphs = [g for g in dataset.graphs if g.n == n]

@@ -5,18 +5,24 @@ Each suite returns one JSON-ready dict with the same shape: suite name,
 pass flag, number of checks, failure count, worst observed error, the
 tolerance it was held to, and the resolved parameters. Failures carry a few
 human-readable examples for debugging, never silently truncated results.
+
+The `verify` flags a suite reads are its runner's keyword parameters of the
+same names (`n`, `k`, `trials`, `seed`, `tolerance`): `run_suites` routes
+each flag by the runner's signature, and each runner turns its own flags
+into sizes and orders.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 
 import numpy as np
 
 from .config import SUITE_NAMES, NoiseSchedule, ScoreConfig
 from .counting import _compile, count_subgraphs
-from .diffusion import (ScoreOracle, random_symmetric, permute_matrix,
-                        verify_basis_expansion)
+from .diffusion import (ScoreOracle, _require_verifiable, random_symmetric,
+                        permute_matrix, verify_basis_expansion)
 from .errors import InputError
 from .graphs import Dataset, Graph, Pattern, automorphism_count
 from .patterns import PATTERN_LIBRARY, derive_marked_patterns
@@ -59,24 +65,25 @@ def _random_graph(n: int, prob: float, rng) -> Graph:
     return Graph(upper + upper.T)
 
 
-def run_count_identity(n_max: int = 6, trials: int = 200, seed: int = 0) -> dict:
-    """Scaled-integer identity: raw injective sum == |Aut| * subgraph count.
+def run_count_identity(n: int = 6, trials: int = 200, seed: int = 0) -> dict:
+    """Scaled-integer identity: raw injective sum == |Aut| * subgraph count,
+    on random graphs of 2 to n nodes.
 
     Both sides are exact integers, so the tolerance is zero and any mismatch
     is a hard failure.
     """
-    if n_max < 2:
-        raise InputError(f"count-identity needs n_max >= 2, got {n_max}")
+    if n < 2:
+        raise InputError(f"count-identity needs n_max >= 2, got {n}")
     rng = _seeded(seed)
     patterns = [p for p in PATTERN_LIBRARY.values() if p.k <= 6]
     compiled = [(p, automorphism_count(p.graph), _compile(p)) for p in patterns]
     checks = 0
     failures: list[str] = []
     for trial in range(trials):
-        n = int(rng.integers(2, n_max + 1))
-        for p in patterns:  # refuse an oversized n before drawing its graph
-            _require_assignments(n, p.k)
-        g = _random_graph(n, float(rng.uniform(0.15, 0.7)), rng)
+        size = int(rng.integers(2, n + 1))
+        for p in patterns:  # refuse an oversized graph before drawing it
+            _require_assignments(size, p.k)
+        g = _random_graph(size, float(rng.uniform(0.15, 0.7)), rng)
         adj = g.adj.astype(np.int64)
         for p, aut, plan in compiled:
             lhs = monomial_sum(adj, p.k, p.graph.edge_list)
@@ -87,7 +94,7 @@ def run_count_identity(n_max: int = 6, trials: int = 200, seed: int = 0) -> dict
                     f"trial {trial}, pattern {p.name}: raw sum {lhs}"
                     f" != aut*count {rhs}")
     return _report("count-identity", checks, failures, float(bool(failures)),
-                   0.0, {"n_max": n_max, "trials": trials, "seed": seed,
+                   0.0, {"n_max": n, "trials": trials, "seed": seed,
                          "patterns": [p.name for p in patterns]})
 
 
@@ -136,9 +143,10 @@ def run_finitediff(seed: int = 0, tolerance: float = 1e-4,
                     "times": list(times), "step": step, "seed": seed})
 
 
-def run_series(seed: int = 0, tolerance: float = 1e-3, order: int = 12,
+def run_series(seed: int = 0, tolerance: float = 1e-3, k: int = 12,
                trials: int = 10) -> dict:
-    """Truncated series against the direct score in the convergent regime.
+    """Order-k truncated series against the direct score in the convergent
+    regime.
 
     Also checks that two extra orders never hurt (unless already at float
     noise), which is what convergence looks like numerically.
@@ -163,48 +171,50 @@ def run_series(seed: int = 0, tolerance: float = 1e-3, order: int = 12,
         direct = oracle.score(W, t)
         scale = float(np.linalg.norm(direct))
         err = {}
-        for k in (order, order + 2):
-            approx = oracle.score_series(W, t, order=k)
-            err[k] = float(np.linalg.norm(approx - direct)) / scale
+        for order in (k, k + 2):
+            approx = oracle.score_series(W, t, order=order)
+            err[order] = float(np.linalg.norm(approx - direct)) / scale
         checks += 2
-        if err[order] > tolerance:
+        if err[k] > tolerance:
             failures.append(
-                f"trial {trial}: order-{order} error {err[order]:.3g}"
+                f"trial {trial}: order-{k} error {err[k]:.3g}"
                 f" (ratio {ratio:.3g})")
-        if err[order + 2] > err[order] and err[order] > 1e-9:
+        if err[k + 2] > err[k] and err[k] > 1e-9:
             failures.append(
-                f"trial {trial}: error grew from {err[order]:.3g} to"
-                f" {err[order + 2]:.3g} with two extra orders")
-        max_rel = max(max_rel, err[order])
-    params = {"n": n, "t": t, "order": order, "trials": trials, "seed": seed,
+                f"trial {trial}: error grew from {err[k]:.3g} to"
+                f" {err[k + 2]:.3g} with two extra orders")
+        max_rel = max(max_rel, err[k])
+    params = {"n": n, "t": t, "order": k, "trials": trials, "seed": seed,
               "max_series_ratio": max_ratio}
     return _report("series", checks, failures, max_rel, tolerance, params)
 
 
-def run_basis(seed: int = 0, tolerance: float = 1e-9,
-              n_values: tuple[int, ...] = (3, 4),
-              orders: tuple[int, ...] = (0, 1, 2, 3)) -> dict:
-    """Moment form versus basis-polynomial form, order by order."""
-    if any(n < 1 for n in n_values):
-        raise InputError(f"basis needs n >= 1, got {list(n_values)}")
+def run_basis(seed: int = 0, tolerance: float = 1e-9, n: int | None = None,
+              k: int = 3) -> dict:
+    """Moment form versus basis-polynomial form at orders 0 to k, on n nodes
+    (3 and 4 when n is None)."""
+    sizes = (3, 4) if n is None else (n,)
+    if min(sizes) < 1:
+        raise InputError(f"basis needs n >= 1, got {list(sizes)}")
     rng = _seeded(seed)
+    _require_verifiable(max(sizes), k)  # before any draw
     checks = 0
     max_disc = 0.0
     failures: list[str] = []
-    for n in n_values:
-        graphs = tuple(_random_graph(n, 0.5, rng) for _ in range(2))
+    for size in sizes:
+        graphs = tuple(_random_graph(size, 0.5, rng) for _ in range(2))
         ds = Dataset(graphs=graphs)
-        W = random_symmetric(n, rng)
-        for k in orders:
-            rep = verify_basis_expansion(W, k, ds)
+        W = random_symmetric(size, rng)
+        for order in range(k + 1):
+            rep = verify_basis_expansion(W, order, ds)
             checks += 1
             max_disc = max(max_disc, rep.max_discrepancy)
             if rep.max_discrepancy > tolerance:
                 failures.append(
-                    f"n={n} k={k}: discrepancy {rep.max_discrepancy:.3g}"
+                    f"n={size} k={order}: discrepancy {rep.max_discrepancy:.3g}"
                     f" (f {rep.f_discrepancy:.3g}, g {rep.g_discrepancy:.3g})")
     return _report("basis", checks, failures, max_disc, tolerance,
-                   {"n_values": list(n_values), "orders": list(orders),
+                   {"n_values": list(sizes), "orders": list(range(k + 1)),
                     "seed": seed})
 
 
@@ -217,24 +227,24 @@ def _equivariance_patterns(n: int) -> tuple[list[Pattern], list[Pattern]]:
 
 
 def run_equivariance(seed: int = 0, tolerance: float = 1e-12,
-                     n_values: tuple[int, ...] = (3, 4, 5),
-                     trials: int = 2) -> dict:
+                     n: int | None = None, trials: int = 2) -> dict:
     """Invariance of Q and equivariance of the marked form under every
-    permutation, exhaustively."""
+    permutation of n nodes (3, 4 and 5 when n is None), exhaustively."""
     rng = _seeded(seed)
-    sizes = [(n, *_equivariance_patterns(n)) for n in n_values]
-    for _, unmarked, _ in sizes:  # refuse an oversized pattern before any W
+    sizes = (3, 4, 5) if n is None else (n,)
+    plans = [(size, *_equivariance_patterns(size)) for size in sizes]
+    for _, unmarked, _ in plans:  # refuse an oversized pattern before any W
         for p in unmarked:
             _require_basis_pattern(p, marked=False)
     checks = 0
     max_rel = 0.0
     failures: list[str] = []
-    for n, unmarked, marked in sizes:
+    for size, unmarked, marked in plans:
         for trial in range(trials):
-            W = random_symmetric(n, rng)
+            W = random_symmetric(size, rng)
             inv_base = {p.name: invariant_basis(W, p) for p in unmarked}
             equi_base = [(p, equivariant_basis(W, p)) for p in marked]
-            for perm in itertools.permutations(range(n)):
+            for perm in itertools.permutations(range(size)):
                 Wp = permute_matrix(W, perm)
                 for p in unmarked:
                     base = inv_base[p.name]
@@ -243,7 +253,7 @@ def run_equivariance(seed: int = 0, tolerance: float = 1e-12,
                     max_rel = max(max_rel, rel)
                     if rel > tolerance:
                         failures.append(
-                            f"n={n} trial {trial} pattern {p.name}"
+                            f"n={size} trial {trial} pattern {p.name}"
                             f" perm {perm}: invariance off by {rel:.3g}")
                 for p, base in equi_base:
                     expected = permute_matrix(base, perm)
@@ -254,11 +264,11 @@ def run_equivariance(seed: int = 0, tolerance: float = 1e-12,
                     max_rel = max(max_rel, rel)
                     if rel > tolerance:
                         failures.append(
-                            f"n={n} trial {trial} marked {p.name} marks"
+                            f"n={size} trial {trial} marked {p.name} marks"
                             f" {p.marks} perm {perm}: equivariance off by"
                             f" {rel:.3g}")
     return _report("equivariance", checks, failures, max_rel, tolerance,
-                   {"n_values": list(n_values), "trials": trials, "seed": seed})
+                   {"n_values": list(sizes), "trials": trials, "seed": seed})
 
 
 _RUNNERS = {
@@ -270,8 +280,21 @@ _RUNNERS = {
 }
 
 
-def run_suite(name: str, **overrides) -> dict:
-    if name not in _RUNNERS:
+def run_suites(suite: str, flags: dict) -> list[dict]:
+    """Run one suite, or every suite when suite is "all", and return their
+    reports. Each suite gets the flags its runner names as keyword
+    parameters; a flag that a single named suite does not read is refused."""
+    if suite != "all" and suite not in _RUNNERS:
         known = ", ".join(SUITE_NAMES)
-        raise InputError(f"unknown suite {name!r}; known suites: {known}")
-    return _RUNNERS[name](**overrides)
+        raise InputError(f"unknown suite {suite!r}; known suites: {known}")
+    names = SUITE_NAMES if suite == "all" else (suite,)
+    routed = {name: {flag: value for flag, value in flags.items()
+                     if flag in inspect.signature(_RUNNERS[name]).parameters}
+              for name in names}
+    unread = sorted(set(flags) - set(routed[suite])) if suite != "all" else []
+    if unread:
+        raise InputError(f"suite {suite} does not read "
+                         + ", ".join(f"--{flag}" for flag in unread))
+    if "tolerance" in flags:  # before --suite all runs count-identity
+        check_tolerance(flags["tolerance"])
+    return [_RUNNERS[name](**routed[name]) for name in names]

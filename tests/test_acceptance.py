@@ -52,7 +52,7 @@ def test_criterion_1_matcher_agrees_with_bruteforce_oracle():
 
 def test_criterion_2_scaled_integer_count_identity():
     # raw injective sum == |Aut| * count, exact integers, 200 graphs n <= 6
-    rep = run_count_identity(n_max=6, trials=200, seed=0)
+    rep = run_count_identity(n=6, trials=200, seed=0)
     _conclude(2, rep["passed"] and rep["tolerance"] == 0.0,
               f"{rep['checks']} exact identities over"
               f" {len(rep['params']['patterns'])} patterns,"
@@ -61,7 +61,8 @@ def test_criterion_2_scaled_integer_count_identity():
 
 def test_criterion_3_invariance_and_equivariance():
     # all permutations, n in {3,4,5}, relative deviation <= 1e-12
-    rep = run_equivariance(n_values=(3, 4, 5), trials=2, tolerance=1e-12)
+    rep = run_equivariance(trials=2, tolerance=1e-12)
+    assert rep["params"]["n_values"] == [3, 4, 5]
     _conclude(3, rep["passed"],
               f"{rep['checks']} permutation checks, max relative deviation"
               f" {rep['max_error']:.3g} (tolerance 1e-12)")
@@ -82,8 +83,10 @@ def test_criterion_5_series_decomposition():
     #     discrepancy <= 1e-9
     # (b) order-12 truncated series vs direct score, 10 random inputs at
     #     n = 4 in the convergent regime, relative error <= 1e-3
-    rep_a = run_basis(n_values=(3, 4), orders=(0, 1, 2, 3), tolerance=1e-9)
-    rep_b = run_series(order=12, trials=10, tolerance=1e-3)
+    rep_a = run_basis(k=3, tolerance=1e-9)
+    rep_b = run_series(k=12, trials=10, tolerance=1e-3)
+    assert rep_a["params"]["n_values"] == [3, 4]
+    assert rep_a["params"]["orders"] == [0, 1, 2, 3]
     _conclude(5, rep_a["passed"] and rep_b["passed"],
               f"term identity max discrepancy {rep_a['max_error']:.3g}"
               f" (tolerance 1e-9); series max relative error"

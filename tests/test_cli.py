@@ -222,7 +222,8 @@ def test_sample_divergence_reports_the_lowest_failing_sample(train_path,
 @pytest.mark.parametrize("flag, value, message", [
     ("--steps", "9", "steps must be at least 10"),
     ("--threshold", "nan", "threshold must be finite"),
-    ("--seed", "-1", "seed must be non-negative")])
+    ("--seed", "-1", "seed must be non-negative"),
+    ("--beta-max", "inf", "beta_max must be finite")])
 def test_sample_refuses_flags_before_the_oracle_build(flag, value, message,
                                                       train_path, tmp_path,
                                                       capsys, monkeypatch):
@@ -334,12 +335,12 @@ def test_verify_checks_each_suite_against_the_schema(tmp_path, capsys,
                                                      monkeypatch):
     from motifdiff import verification
 
-    def no_checks(name, **overrides):
-        return {"suite": name, "passed": True, "failures": 0,
-                "failure_examples": [], "max_error": 0.0, "tolerance": 0.0,
-                "params": {}}
+    def no_checks(suite, flags):
+        return [{"suite": suite, "passed": True, "failures": 0,
+                 "failure_examples": [], "max_error": 0.0, "tolerance": 0.0,
+                 "params": {}}]
 
-    monkeypatch.setattr(verification, "run_suite", no_checks)
+    monkeypatch.setattr(verification, "run_suites", no_checks)
     out = tmp_path / "v.json"
     assert run(["verify", "--suite", "basis", "--out", str(out)]) == 2
     assert ("output failed its schema at $.suites[0]: missing key 'checks'"
@@ -356,6 +357,23 @@ def test_verify_count_identity_overrides(tmp_path):
     assert suite["params"]["n_max"] == 4
     assert suite["params"]["trials"] == 20
     assert suite["tolerance"] == 0.0
+
+
+def test_verify_all_routes_each_flag_to_the_suites_that_read_it(tmp_path):
+    out = tmp_path / "v.json"
+    assert run(["verify", "--suite", "all", "--n", "4", "--k", "1",
+                "--trials", "1", "--out", str(out)]) == 0
+    params = {s["suite"]: s["params"]
+              for s in json.loads(out.read_text())["suites"]}
+    assert params["count-identity"]["n_max"] == 4
+    assert params["count-identity"]["trials"] == 1
+    assert params["basis"]["n_values"] == [4]
+    assert params["basis"]["orders"] == [0, 1]
+    assert params["series"]["order"] == 1
+    assert params["series"]["trials"] == 1
+    assert params["equivariance"]["n_values"] == [4]
+    assert params["equivariance"]["trials"] == 1
+    assert params["finitediff"]["sizes"] == [3, 4]
 
 
 @pytest.mark.parametrize("argv", [
@@ -423,11 +441,13 @@ def test_verify_past_assignment_cap_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("suite, refusal", [
     ("count-identity", "injective assignments"),
     ("equivariance", "capped at 6-node patterns"),
+    ("basis", "capped at n<=4"),
 ])
 def test_verify_refuses_a_large_n_before_drawing(suite, refusal, tmp_path,
                                                  capsys, monkeypatch):
     # --n 100000 would draw arrays of tens of GB; every n past the caps
-    # (12 for count-identity, 6 for equivariance) must be refused first
+    # (12 for count-identity, 6 for equivariance, 4 for basis) must be
+    # refused first
     from motifdiff import verification
 
     def sized(draw, cap):
