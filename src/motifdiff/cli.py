@@ -92,7 +92,7 @@ def cmd_gen_data(args) -> int:
 
 
 def _sample_share(oracle, args, share: range):
-    """One worker's samples, stepped as one batch: (graph, trajectory or
+    """One share of the samples, stepped as one batch: (graph, trajectory or
     None) per sample. Sample idx draws from its own stream [seed, idx]; the
     generators are made here, in the worker, as numpy.random loaded in the
     parent would add about 5 MB to its RSS."""
@@ -136,15 +136,8 @@ def cmd_sample(args) -> int:
                 f"training set mixes node counts {list(sizes)}; pass --n")
         (n,) = sizes
     oracle = ScoreOracle(train, n, cfg=cfg, sched=sched)
-    # worker k of w steps one contiguous range of samples together, so the
-    # shares come back in sample order and the first failing share holds
-    # the lowest-index series divergence
-    w = max(1, min(args.threads, args.num_samples))
-    cuts = [args.num_samples * k // w for k in range(w + 1)]
-    shares = ordered_map(lambda share: _sample_share(oracle, args, share),
-                         [range(a, b) for a, b in zip(cuts, cuts[1:])],
-                         threads=w)
-    results = [item for share in shares for item in share]
+    results = ordered_map(lambda share: _sample_share(oracle, args, share),
+                          range(args.num_samples), threads=args.threads)
     graphs = tuple(g for g, _ in results)
     metadata = {flag: str(getattr(args, flag)) for flag in _SAMPLE_ECHOED}
     metadata.update(generator="reverse-diffusion", n=str(n))

@@ -258,8 +258,9 @@ def count_table(graphs: Sequence[Graph], patterns: Sequence[Pattern],
         raise InputError("no graphs to count")
     plans = [_compile(p) for p in patterns]
 
-    def graph_counts(g: Graph) -> list[int]:
-        return [count_subgraphs(g, plan.pattern, plan) for plan in plans]
+    def share_rows(share: Sequence[Graph]) -> list[list[int]]:
+        return [[count_subgraphs(g, plan.pattern, plan) for plan in plans]
+                for g in share]
 
-    rows = ordered_map(graph_counts, graphs, threads=threads)
+    rows = ordered_map(share_rows, graphs, threads=threads)
     return [list(column) for column in zip(*rows)]

@@ -51,6 +51,9 @@ def read_dataset_lines(lines, source: str = "<stream>") -> Dataset:
             obj = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise InputError(f"{source}, line {lineno}: invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise InputError(
+                f"{source}, line {lineno}: invalid JSON (nested too deeply)") from None
         if isinstance(obj, dict) and set(obj) == {"meta"}:
             if graphs or meta_seen:
                 raise InputError(

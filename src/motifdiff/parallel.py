@@ -1,49 +1,50 @@
 """Deterministic fork-based map.
 
-Results always come back in input order, so output bytes do not depend on
-the worker count. Each worker is a plain fork of the caller and inherits
-the callable and the items: only results cross its pipe, and the callable
-may be a closure over unpicklable state. Worker k of w computes items k,
-k+w, k+2w, ... and writes them as one pickle. Where fork is missing, the
-map runs in-process.
+The map cuts its items into w contiguous, balanced shares (worker k of w
+takes items[N*k//w : N*(k+1)//w]) and calls the function once per share;
+the function returns its share's results as a list, and the parent joins
+the lists in worker order, so output bytes do not depend on the worker
+count. Each worker is a plain fork of the caller and inherits the callable
+and the items: only results cross its pipe, and the callable may be a
+closure over unpicklable state. The first failing share's exception is
+raised; as the function stops at its own first failure, that is the first
+failing item in input order. With one worker, or where fork is missing,
+the map is the function applied to all the items, in-process.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def _share(fn: Callable, work: Sequence, k: int, w: int, fd: int,
-           readers: list) -> None:
-    """Worker k's body: write (ok, results or (index, exception)), exit."""
+def _share(fn: Callable, share: Sequence, fd: int, readers: list) -> None:
+    """A worker's body: write (ok, results or exception), exit."""
     try:
         # only the parent may hold read ends: if it stops reading, a worker
         # blocked on a full pipe must fail its write instead of waiting
         for reader in readers:
             reader.close()
-        done = []
         try:
-            for i in range(k, len(work), w):
-                done.append(fn(work[i]))
-            payload = (True, done)
+            payload = (True, fn(share))
         except Exception as exc:
-            payload = (False, (k + len(done) * w, exc))
+            payload = (False, exc)
         with os.fdopen(fd, "wb") as out:
             pickle.dump(payload, out, pickle.HIGHEST_PROTOCOL)
     finally:
         os._exit(0)
 
 
-def ordered_map(fn: Callable[[T], R], items: Iterable[T], threads: int = 1) -> list[R]:
-    work: Sequence[T] = list(items)
-    w = min(threads, len(work))
+def ordered_map(fn: Callable[[Sequence[T]], list[R]], items: Sequence[T],
+                threads: int = 1) -> list[R]:
+    n = len(items)
+    w = min(threads, n)
     if w <= 1 or not hasattr(os, "fork"):
-        return [fn(x) for x in work]
+        return fn(items)
     readers, pids, shares = [], [], []
     try:
         for k in range(w):
@@ -52,7 +53,7 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], threads: int = 1) -> l
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _share(fn, work, k, w, fd, readers)
+                    _share(fn, items[n * k // w:n * (k + 1) // w], fd, readers)
             finally:
                 os.close(fd)
             pids.append(pid)
@@ -67,11 +68,9 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], threads: int = 1) -> l
             reader.close()
         for pid in pids:
             os.waitpid(pid, 0)
-    failures = [value for ok, value in shares if not ok]
-    if failures:
-        # the first failing item in input order, as the in-process map raises
-        raise min(failures, key=lambda f: f[0])[1]
-    results: list = [None] * len(work)
-    for k, (_, done) in enumerate(shares):
-        results[k::w] = done
+    results: list = []
+    for ok, value in shares:
+        if not ok:
+            raise value
+        results += value
     return results

@@ -17,6 +17,30 @@ def make_random_graph(n, prob, rng):
     return Graph(upper + upper.T)
 
 
+def cycle_counts_by_traces(g):
+    """c3, c4 and c5 of g from closed-walk traces and degrees (Harary and
+    Manvel, 1971), an oracle independent of the matcher:
+    c3 = tr(A^3)/6, c4 = (tr(A^4) - 2 sum d^2 + 2m)/8 and
+    c5 = (tr(A^5) - 5 tr(A^3) - 5 sum_i (d_i - 2) (A^3)_ii)/10.
+    The products run in float64, which is exact while every partial sum is
+    an integer below 2^53; no entry of A^k exceeds D^(k-1), so n D^5 bounds
+    them all, D the largest degree."""
+    adj = g.adj.astype(np.float64)
+    deg = adj.sum(axis=1)
+    assert g.n * int(deg.max(initial=0)) ** 5 < 2 ** 53
+    a2 = adj @ adj
+    a3 = a2 @ adj
+    diag3 = np.diagonal(a3)
+    tr3 = diag3.sum()
+    tr4 = (a2 * a2).sum()  # tr(A^2 A^2), A symmetric
+    tr5 = (a2 * a3).sum()  # tr(A^2 A^3)
+    m = deg.sum() / 2
+    counts = (tr3 / 6, (tr4 - 2 * (deg * deg).sum() + 2 * m) / 8,
+              (tr5 - 5 * tr3 - 5 * ((deg - 2) * diag3).sum()) / 10)
+    assert all(c == int(c) for c in counts)
+    return [int(c) for c in counts]
+
+
 def complete_graph(n):
     adj = np.ones((n, n), dtype=np.uint8)
     np.fill_diagonal(adj, 0)

@@ -163,9 +163,9 @@ def test_sample_builds_one_oracle_in_the_parent(train_path, tmp_path,
 
 
 def test_sample_batches_match_one_sample_calls(train_path, tmp_path):
-    # worker k steps one contiguous range of samples as one batch; each
-    # sample's bytes are those of a one-sample call on its own stream
-    # [seed, idx]
+    # the map hands worker k one contiguous share of the samples, stepped
+    # as one batch; each sample's bytes are those of a one-sample call on
+    # its own stream [seed, idx]
     files = []
     for threads in ("1", "2", "3"):
         out = tmp_path / f"gen_{threads}.jsonl"
@@ -193,8 +193,8 @@ def test_sample_divergence_reports_the_lowest_failing_sample(train_path,
                                                              tmp_path, capsys):
     # at seed 25 samples 2, 4 and 6 of 7 diverge, 4 and 6 at earlier steps
     # than 2; one worker steps all three in one batch, and at 2 and 3
-    # workers (ranges 0-2, 3-6 and 0-1, 2-3, 4-6) sample 2 is in the first
-    # failing share
+    # workers the map's shares (0-2, 3-6 and 0-1, 2-3, 4-6) put sample 2 in
+    # the first failing share, whose error the map raises
     oracle = ScoreOracle(read_dataset(train_path), 4,
                          sched=NoiseSchedule(t_min=0.3))
     failing = {}
@@ -552,24 +552,44 @@ def test_sample_over_mc_samples_cap_exits_2(train_path, tmp_path, capsys):
     assert not out.exists()
 
 
+def under_blas_threads(argv, outputs):
+    """Run the CLI in a subprocess at 1, then 2 BLAS threads (every BLAS
+    numpy may be built on); one (stdout, stderr, output bytes) per run."""
+    runs = []
+    for blas in ("1", "2"):
+        env = src_env()
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env[var] = blas
+        done = subprocess.run([sys.executable, "-m", "motifdiff", *argv],
+                              capture_output=True, timeout=120, env=env)
+        assert done.returncode == 0, done.stderr
+        runs.append((done.stdout, done.stderr,
+                     [path.read_bytes() for path in outputs]))
+        for path in outputs:
+            path.unlink()
+    return runs
+
+
 def test_sample_bytes_independent_of_blas_threads(tmp_path):
     train = tmp_path / "train.jsonl"
     assert run(["gen-data", "--pattern", "c4", "--n", "6", "--count", "4",
                 "--seed", "3", "--out", str(train)]) == 0
-    outs = []
-    for blas in ("1", "2"):
-        out = tmp_path / f"gen_{blas}.jsonl"
-        traj = tmp_path / f"traj_{blas}.jsonl"
-        env = src_env()
-        env["OPENBLAS_NUM_THREADS"] = blas
-        done = subprocess.run(
-            [sys.executable, "-m", "motifdiff", "sample", "--train", str(train),
-             "--num-samples", "3", "--steps", "40", "--seed", "9",
-             "--threads", "1", "--trajectories", str(traj), "--out", str(out)],
-            capture_output=True, text=True, timeout=120, env=env)
-        assert done.returncode == 0, done.stderr
-        outs.append((out.read_bytes(), traj.read_bytes()))
-    assert outs[0] == outs[1]
+    out, traj = tmp_path / "gen.jsonl", tmp_path / "traj.jsonl"
+    first, second = under_blas_threads(
+        ["sample", "--train", str(train), "--num-samples", "3", "--steps",
+         "40", "--seed", "9", "--score", "direct", "--perm-policy",
+         "exhaustive", "--threads", "1", "--trajectories", str(traj),
+         "--out", str(out)], [out, traj])
+    assert first == second
+
+
+def test_verify_bytes_independent_of_blas_threads(tmp_path):
+    # the series suite measures its errors with np.linalg.norm
+    out = tmp_path / "verify.json"
+    first, second = under_blas_threads(
+        ["verify", "--suite", "series", "--out", str(out)], [out])
+    assert first == second
 
 
 def test_sample_defaults_are_the_dataclass_defaults():

@@ -14,7 +14,8 @@ from motifdiff.patterns import (PATTERN_LIBRARY, derive_marked_patterns,
                                 fused_cycles_graph, get_pattern)
 from motifdiff.polynomials import pinned_monomial_matrix
 
-from conftest import complete_graph, make_random_graph
+from conftest import (complete_graph, cycle_counts_by_traces,
+                      make_random_graph)
 
 
 def cycle(n):
@@ -189,3 +190,14 @@ def test_count_distribution_over_dataset():
     assert d1.counts == {0: 3, 1: 1, 4: 1}
     with pytest.raises(InputError):
         count_table((), [get_pattern("c3")])
+
+
+@pytest.mark.parametrize("m", [2000, 4000])
+def test_cycle_counts_match_closed_walk_traces_on_large_hosts(m):
+    # a third witness where the brute-force oracle (9 nodes) and networkx
+    # are out of reach: 1000-node hosts, the host cap
+    u, v = np.triu_indices(1000, 1)
+    picked = np.random.default_rng(m).choice(len(u), size=m, replace=False)
+    g = Graph.from_edges(1000, zip(u[picked].tolist(), v[picked].tolist()))
+    table = count_table([g], [get_pattern(f"c{k}") for k in (3, 4, 5)])
+    assert [column[0] for column in table] == cycle_counts_by_traces(g)

@@ -1,6 +1,7 @@
 """Property-based checks of the counting layer: relabeling invariance,
-monotonicity under edge addition, rooted counts summing to map counts, and
-the symmetry-broken subgraph count times |Aut| equal to the map count."""
+monotonicity under edge addition, rooted counts summing to map counts, the
+symmetry-broken subgraph count times |Aut| equal to the map count, and
+cycle counts equal to those from closed-walk traces."""
 
 import pytest
 
@@ -9,7 +10,7 @@ from motifdiff.counting import (count_injective_homs, count_rooted,
 from motifdiff.graphs import Graph, Pattern, automorphism_count
 from motifdiff.patterns import PATTERN_LIBRARY, derive_marked_patterns
 
-from conftest import permute_graph
+from conftest import cycle_counts_by_traces, permute_graph
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -28,6 +29,15 @@ def graphs(draw, min_n=0, max_n=8):
     bits = draw(st.lists(st.booleans(), min_size=len(pairs),
                          max_size=len(pairs)))
     return Graph.from_edges(n, [e for e, b in zip(pairs, bits) if b])
+
+
+@st.composite
+def sparse_graphs(draw, max_n=30):
+    """Up to 3n edges on up to max_n nodes, so c5 stays cheap to match."""
+    n = draw(st.integers(0, max_n))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    return Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
 
 
 # library patterns plus arbitrary small ones; every pattern on up to 6
@@ -67,3 +77,9 @@ def test_subgraph_count_times_aut_is_map_count(g, p):
     assert (count_subgraphs(g, p) * automorphism_count(p.graph)
             == count_injective_homs(g, p))
 
+
+@SETTINGS
+@given(sparse_graphs())
+def test_cycle_counts_match_closed_walk_traces(g):
+    assert [count_subgraphs(g, PATTERN_LIBRARY[f"c{k}"])
+            for k in (3, 4, 5)] == cycle_counts_by_traces(g)

@@ -55,6 +55,15 @@ def test_invalid_json_carries_line_number():
     assert "bad.jsonl" in msg and "line 2" in msg
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    # the JSON decoder recurses once per bracket and runs out of stack
+    path = tmp_path / "deep.jsonl"
+    path.write_text("[" * 200_000 + "\n")
+    assert main(["count", "--in", str(path), "--patterns", "c3"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}, line 1: invalid JSON (nested too deeply)\n"
+
+
 def test_graph_line_key_policing():
     with pytest.raises(InputError):
         read_dataset_lines(['{"n": 1}'])

@@ -1,6 +1,6 @@
-"""The fork map: workers inherit the job, results come back in input order,
-worker errors and deaths reach the parent, and without fork the map runs
-in-process."""
+"""The fork map: each worker takes one contiguous, balanced share and
+inherits the job, results come back in input order, worker errors and
+deaths reach the parent, and without fork the map runs in-process."""
 
 import os
 import signal
@@ -41,9 +41,9 @@ def deadline():
 def test_workers_inherit_an_unpicklable_closure(deadline):
     lock = threading.Lock()  # pickling the callable would fail on this
 
-    def square(x):
+    def square(share):
         with lock:
-            return x * x, os.getpid()
+            return [(x * x, os.getpid()) for x in share]
 
     got = ordered_map(square, range(9), threads=2)
     assert [value for value, _ in got] == [x * x for x in range(9)]
@@ -52,26 +52,45 @@ def test_workers_inherit_an_unpicklable_closure(deadline):
 
 def test_without_fork_the_map_runs_in_process(monkeypatch):
     monkeypatch.delattr(os, "fork", raising=False)
-    got = ordered_map(lambda x: (x + 1, os.getpid()), range(5), threads=2)
+    got = ordered_map(lambda share: [(x + 1, os.getpid()) for x in share],
+                      range(5), threads=2)
     assert got == [(x + 1, os.getpid()) for x in range(5)]
 
 
 def test_the_first_failing_item_raises(deadline):
-    def check(x):
-        if x in (3, 4):
-            raise ValueError(f"item {x}")
-        return x
+    # at 2 threads the shares are items 0-2 and 3-5: the second share fails
+    # at item 3, or both fail and the lower share's item 1 wins over item 4
+    for failing, first in (((3, 4), 3), ((1, 4), 1)):
+        def check(share):
+            for x in share:
+                if x in failing:
+                    raise ValueError(f"item {x}")
+            return list(share)
 
-    # workers 0 and 1 of 2 fail at items 4 and 3; item 3 comes first
-    with pytest.raises(ValueError, match="^item 3$"):
-        ordered_map(check, range(6), threads=2)
+        with pytest.raises(ValueError, match=f"^item {first}$"):
+            ordered_map(check, range(6), threads=2)
+
+
+@needs_fork
+def test_shares_are_contiguous_and_balanced(deadline):
+    got = ordered_map(lambda share: [(os.getpid(), type(share))] * len(share),
+                      range(7), threads=3)
+    groups = {}
+    for x, (pid, kind) in enumerate(got):
+        groups.setdefault(pid, []).append(x)
+        assert kind is range  # sliced, not copied into a list
+    assert sorted(groups.values()) == [[0, 1], [2, 3], [4, 5, 6]]
+    assert os.getpid() not in groups
 
 
 def test_one_worker_or_one_item_stays_in_process():
     pid = os.getpid()
-    assert ordered_map(lambda x: (x, os.getpid()), [7], threads=4) == [(7, pid)]
-    assert ordered_map(lambda x: (x, os.getpid()), range(3), threads=1) == [
-        (x, pid) for x in range(3)]
+
+    def tag(share):
+        return [(x, os.getpid()) for x in share]
+
+    assert ordered_map(tag, [7], threads=4) == [(7, pid)]
+    assert ordered_map(tag, range(3), threads=1) == [(x, pid) for x in range(3)]
 
 
 @needs_fork
@@ -83,7 +102,8 @@ def test_a_worker_error_keeps_its_type_and_message(deadline, monkeypatch,
         return x
 
     with pytest.raises(CapacityError, match="^item 2 is over the cap$"):
-        ordered_map(refuse, range(5), threads=2)
+        ordered_map(lambda share: [refuse(x) for x in share], range(5),
+                    threads=2)
 
     def diverge(x):
         if x == 3:
@@ -92,7 +112,8 @@ def test_a_worker_error_keeps_its_type_and_message(deadline, monkeypatch,
 
     with pytest.raises(SeriesDivergenceError,
                        match="^item 3 diverged$") as err:
-        ordered_map(diverge, range(5), threads=2)
+        ordered_map(lambda share: [diverge(x) for x in share], range(5),
+                    threads=2)
     assert err.value.ratio == 3.5
 
     data = str(tmp_path / "train.jsonl")
@@ -121,8 +142,9 @@ def test_a_worker_that_dies_raises_in_the_parent(dying, expected):
 import os
 from motifdiff.parallel import ordered_map
 try:
-    ordered_map(lambda x: os._exit(1) if x == {dying} else bytes(100_000),
-                range(6), threads=2)
+    # worker k's share is items 3k to 3k+2; the dying worker exits at 3k
+    ordered_map(lambda share: [os._exit(1) if x == {3 * dying} else bytes(100_000)
+                               for x in share], range(6), threads=2)
 except RuntimeError as exc:
     print(exc)
 """
@@ -140,5 +162,6 @@ except RuntimeError as exc:
 
 @needs_fork
 def test_results_larger_than_a_pipe_buffer_arrive_in_order(deadline):
-    got = ordered_map(lambda x: bytes([x]) * 100_000, range(6), threads=3)
+    got = ordered_map(lambda share: [bytes([x]) * 100_000 for x in share],
+                      range(6), threads=3)
     assert got == [bytes([x]) * 100_000 for x in range(6)]
