@@ -8,20 +8,25 @@ as there are node triples.
 
 The matcher is one backtracking search over host nodes with bitmask
 candidate intersection, driven by a plan. Patterns are tiny (at most 12
-nodes) and hosts are desk scale. A plan starts as a walk: a greedy order
-over the pattern's nodes that are not pinned, with no constraints. Injective
-map counts use the walk as it is; rooted counts pin the two marks, after
-``count_rooted`` has checked the roots once. Subgraph counting compiles the
-pattern once into a plan that adds constraints host(v) < host(u) for each u
-in v's orbit under the automorphisms fixing the nodes before v (after
-Grochow & Kellis, RECOMB 2007), so the search meets each subgraph once. The
-orbits come from a chain of color refinements, one more node of the order
-individualized at each step. A cell contains the orbit, and the orbit sizes
-multiply to |Aut| (orbit-stabilizer), so cells whose sizes multiply to |Aut|
-are orbits. Otherwise (regular patterns such as C3 plus a disjoint C4) the
-chain is rebuilt from true orbits: u is in v's orbit when the symmetry
-search finds the same encoding with u or with v individualized (after
-McKay & Piperno, "Practical graph isomorphism, II").
+nodes) and hosts are desk scale. Each plan shape runs as one generated
+function, cached per shape: nested loops, one per pattern node but the
+last, with no recursion. A level's candidates are the AND of the host nodes
+with the degree its pattern node needs, the free nodes, the neighbors of
+its placed neighbors' hosts and its order constraints; the last level is a
+popcount. A plan starts as a walk: a greedy order over the pattern's nodes
+that are not pinned, with no constraints. Injective map counts use the walk
+as it is; rooted counts pin the two marks, after ``count_rooted`` has
+checked the roots once. Subgraph counting compiles the pattern once into a
+plan that adds constraints host(v) < host(u) for each u in v's orbit under
+the automorphisms fixing the nodes before v (after Grochow & Kellis,
+RECOMB 2007), so the search meets each subgraph once. The orbits come from
+a chain of color refinements, one more node of the order individualized at
+each step. A cell contains the orbit, and the orbit sizes multiply to |Aut|
+(orbit-stabilizer), so cells whose sizes multiply to |Aut| are orbits.
+Otherwise (regular patterns such as C3 plus a disjoint C4) the chain is
+rebuilt from true orbits: u is in v's orbit when the symmetry search finds
+the same encoding with u or with v individualized (after McKay & Piperno,
+"Practical graph isomorphism, II").
 
 ``naive_count_oracle`` recounts by brute force over all injective node
 assignments: the exact integer monomial sum of the pattern's edges over the
@@ -33,6 +38,7 @@ lookups over explicitly materialized assignments.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Mapping, Sequence
 
 from .errors import CapacityError, ContractError, InputError
@@ -113,47 +119,85 @@ def _compile(p: Pattern) -> _Plan:
     raise ContractError(f"orbit sizes multiply to {product}, not |Aut| = {aut}")
 
 
+@cache
+def _kernel(base: int, prev_positions: tuple[tuple[int, ...], ...],
+            smaller_positions: tuple[tuple[int, ...], ...]):
+    """The matcher for one plan shape, generated from its integers alone:
+    `base` pins, then one level per entry of the position tuples.
+
+    `kernel(masks, free0, h0..., f0...)` takes the host's neighbor masks,
+    the mask of hosts not pinned, the pinned hosts and, per level, the mask
+    of hosts with the degree its node needs. Each level but the last is one
+    `while` loop over its candidates, with the host of position p in the
+    local `h<p>`; the last level adds the popcount of its candidates. A
+    level's candidates are its degree mask, the free hosts, the neighbors of
+    the hosts of its placed neighbors, and the bits above the hosts it must
+    exceed (`-(2 << h)`). A term joins level i's partial mask `a<i>_<j>`
+    as soon as loop j - 1 binds its host, not in the innermost loop.
+    PATTERN_NODE_CAP nodes nest 11 loops, under CPython's 20 nested blocks.
+    """
+    depth = len(prev_positions)
+    # terms[j][i]: the terms of level i known once loop j - 1 binds its
+    # host (j = 0: on entry)
+    terms: list[list[list[str]]] = [[[] for _ in range(depth)]
+                                    for _ in range(depth + 1)]
+    free_top = 0  # the last free<j> a level reads
+    for i in range(depth):
+        # masks[h] never holds h, so a level adjacent to the one before
+        # needs only the hosts free before that one
+        j = i - 1 if i and base + i - 1 in prev_positions[i] else i
+        terms[j][i].append(f"free{j}")
+        free_top = max(free_top, j)
+        for p in prev_positions[i]:
+            terms[max(p - base + 1, 0)][i].append(f"masks[h{p}]")
+        for p in smaller_positions[i]:
+            terms[max(p - base + 1, 0)][i].append(f"-(2 << h{p})")
+    read = {p for level in prev_positions + smaller_positions for p in level}
+    params = (["masks", "free0"] + [f"h{p}" for p in range(base)]
+              + [f"f{i}" for i in range(depth)])
+    lines = [f"def kernel({', '.join(params)}):", "    total = 0"]
+    partial = [f"f{i}" for i in range(depth)]
+    indent = "    "
+    for level in range(depth):
+        for i in range(level + 1, depth):
+            if terms[level][i]:
+                lines.append(f"{indent}a{i}_{level} = "
+                             + " & ".join([partial[i]] + terms[level][i]))
+                partial[i] = f"a{i}_{level}"
+        cand = " & ".join([partial[level]] + terms[level][level])
+        if level + 1 == depth:
+            lines.append(f"{indent}total += ({cand}).bit_count()")
+            break
+        lines += [f"{indent}cand{level} = {cand}",
+                  f"{indent}while cand{level}:",
+                  f"{indent}    low = cand{level} & -cand{level}",
+                  f"{indent}    cand{level} ^= low"]
+        if level < free_top:
+            lines.append(f"{indent}    free{level + 1} = free{level} ^ low")
+        if base + level in read:
+            lines.append(f"{indent}    h{base + level} = low.bit_length() - 1")
+        indent += "    "
+    lines.append("    return total")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"]
+
+
 def _count_embeddings(g: Graph, plan: _Plan, pins: tuple[int, ...] = ()) -> int:
     """Number of injective edge-preserving maps of the plan's pattern into
     `g` that send its pinned nodes onto the distinct host nodes `pins`,
     whose adjacency the caller has checked, and meet its constraints."""
     if plan.pattern.k > g.n:
         return 0
-    order, prev_positions = plan.order, plan.prev_positions
-    smaller_positions = plan.smaller_positions
-    depth = len(order)
-    if not depth:
+    if not plan.order:
         return 1
     pdeg = plan.pattern.graph.degrees
-    gdeg = g.degrees
-    masks = g.neighbor_masks
-    all_mask = (1 << g.n) - 1
-    base = len(pins)
-    hosts = list(pins) + [0] * depth
-
-    def dfs(i: int, used: int) -> int:
-        v = order[i]
-        cand = all_mask & ~used
-        for pos in prev_positions[i]:
-            cand &= masks[hosts[pos]]
-        for pos in smaller_positions[i]:
-            cand &= ~((2 << hosts[pos]) - 1)
-        need = pdeg[v]
-        count = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            u = low.bit_length() - 1
-            if gdeg[u] < need:
-                continue
-            if i + 1 == depth:
-                count += 1
-            else:
-                hosts[base + i] = u
-                count += dfs(i + 1, used | low)
-        return count
-
-    return dfs(0, sum(1 << h for h in pins))
+    needs = [pdeg[v] for v in plan.order]
+    fits = {need: sum(1 << u for u, d in enumerate(g.degrees) if d >= need)
+            for need in set(needs)}
+    kernel = _kernel(len(pins), plan.prev_positions, plan.smaller_positions)
+    return kernel(g.neighbor_masks, ~sum(1 << h for h in pins), *pins,
+                  *[fits[need] for need in needs])
 
 
 def count_injective_homs(g: Graph, p: Pattern) -> int:
@@ -257,6 +301,8 @@ def count_table(graphs: Sequence[Graph], patterns: Sequence[Pattern],
     if not graphs:
         raise InputError("no graphs to count")
     plans = [_compile(p) for p in patterns]
+    for plan in plans:  # built here, the workers inherit them
+        _kernel(0, plan.prev_positions, plan.smaller_positions)
 
     def share_rows(share: Sequence[Graph]) -> list[list[int]]:
         return [[count_subgraphs(g, plan.pattern, plan) for plan in plans]

@@ -1,7 +1,8 @@
 """Core graph types and exact symmetry machinery.
 
 Graphs are simple and undirected, stored as one neighbor bitmask per node (bit
-v of mask u is the edge uv); the dense adjacency is built with numpy on first use.
+v of mask u is the edge uv); the dense adjacency (with numpy) and the edge list
+are built on first use.
 Node ids are 0-based everywhere inside the library; ``graph_from_edge_list``
 and the JSONL dataset format are the 1-based boundary.
 
@@ -43,8 +44,8 @@ _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 class Graph:
     """Immutable simple undirected graph on nodes 0..n-1."""
 
-    __slots__ = ("n", "m", "degrees", "edge_list", "neighbor_lists",
-                 "neighbor_masks", "_adj")
+    __slots__ = ("n", "m", "degrees", "neighbor_lists", "neighbor_masks",
+                 "_adj", "_edge_list")
 
     def __init__(self, adjacency) -> None:
         import numpy as np
@@ -86,12 +87,10 @@ class Graph:
         lists = tuple(tuple(compress(nodes, row)) for row in rows)
         self.n = n
         self._adj = None
+        self._edge_list = None
         self.neighbor_lists = lists
         self.degrees = tuple(map(len, lists))
         self.m = sum(self.degrees) // 2
-        self.edge_list = tuple(chain.from_iterable(
-            zip(repeat(u), nbrs[bisect_right(nbrs, u):])
-            for u, nbrs in enumerate(lists)))
         # row u read backwards as a binary numeral has bit v = row[v]
         self.neighbor_masks = tuple(int(row[::-1].translate(_BIT_DIGITS), 2)
                                     for row in rows)
@@ -108,6 +107,15 @@ class Graph:
             adj.setflags(write=False)
             self._adj = adj
         return self._adj
+
+    @property
+    def edge_list(self) -> tuple[tuple[int, int], ...]:
+        """Edges (u, v) with u < v in row order, built on first access."""
+        if self._edge_list is None:
+            self._edge_list = tuple(chain.from_iterable(
+                zip(repeat(u), nbrs[bisect_right(nbrs, u):])
+                for u, nbrs in enumerate(self.neighbor_lists)))
+        return self._edge_list
 
     def has_edge(self, u: int, v: int) -> bool:
         # indexes like adj[u, v]: negatives count from the end, else IndexError

@@ -10,8 +10,9 @@ from motifdiff.counting import (CountDistribution, _compile,
                                 naive_count_oracle)
 from motifdiff.errors import CapacityError, ContractError, InputError
 from motifdiff.graphs import Dataset, Graph, Pattern
-from motifdiff.patterns import (PATTERN_LIBRARY, derive_marked_patterns,
-                                fused_cycles_graph, get_pattern)
+from motifdiff.patterns import (PATTERN_LIBRARY, cycle_graph,
+                                derive_marked_patterns, fused_cycles_graph,
+                                get_pattern, path_graph)
 from motifdiff.polynomials import pinned_monomial_matrix
 
 from conftest import (complete_graph, cycle_counts_by_traces,
@@ -89,6 +90,69 @@ def test_uncertified_refinement_chain_is_cut_to_orbits(monkeypatch):
     # remaining 5 nodes
     assert count_subgraphs(complete_graph(8), p, plan) == 56 * 5 * 3
     assert count_subgraphs(cycle(7), p, plan) == 0
+
+
+def test_patterns_at_the_node_cap_compile_and_count():
+    # 12 pattern nodes nest 11 loops in one generated kernel
+    c12 = Pattern(cycle_graph(12))
+    assert count_subgraphs(cycle(12), c12) == 1
+    assert count_subgraphs(cycle(12), Pattern(path_graph(12))) == 12
+    assert count_injective_homs(cycle(12), c12) == 24
+    # pinned ends: one 12-path joins 0 and 11 (the long way round), none
+    # joins 0 and 6
+    marked = Pattern(path_graph(12), marks=(0, 11))
+    assert count_rooted(cycle(12), 0, 11, marked) == 1
+    assert count_rooted(cycle(12), 0, 6, marked) == 0
+
+
+def test_one_kernel_per_plan_shape():
+    # every count_rooted call re-walks the pattern; the shape is the same,
+    # so its kernel is generated once and reused
+    counting._kernel.cache_clear()
+    marked = derive_marked_patterns([get_pattern("c5")])[0]
+    g = make_random_graph(8, 0.5, np.random.default_rng(5))
+    for i in range(g.n):
+        for j in range(g.n):
+            if i != j:
+                count_rooted(g, i, j, marked)
+    info = counting._kernel.cache_info()
+    assert info.misses == 1
+    assert info.hits > 0
+
+
+def test_kernels_take_only_the_hosts_their_masks_allow():
+    # a level's degree mask filters its candidates: with every level held
+    # to a node set S, a kernel counts the copies inside the subgraph on S
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        g = make_random_graph(9, 0.6, rng)
+        keep = [u for u in range(g.n) if rng.random() < 0.7]
+        allowed = sum(1 << u for u in keep)
+        sub = Graph(g.adj[np.ix_(keep, keep)])
+        for p in PATTERN_LIBRARY.values():
+            plan = _compile(p)
+            kernel = counting._kernel(0, plan.prev_positions,
+                                      plan.smaller_positions)
+            assert (kernel(g.neighbor_masks, -1, *[allowed] * len(plan.order))
+                    == count_subgraphs(sub, p, plan)), p
+
+
+def test_each_level_is_held_to_hosts_with_its_nodes_degree(monkeypatch):
+    # a path 0-1-2-3 hosting a 3-path: the walk places the middle node
+    # first, which only hosts 1 and 2 have the degree for; the ends take any
+    calls = []
+    real_kernel = counting._kernel
+
+    def spy(*shape):
+        kernel = real_kernel(*shape)
+        return lambda *args: calls.append(args[2:]) or kernel(*args)
+
+    monkeypatch.setattr(counting, "_kernel", spy)
+    p3 = Pattern(path_graph(3))
+    plan = _compile(p3)
+    assert plan.order[0] == 1
+    assert count_subgraphs(path_graph(4), p3, plan) == 2
+    assert calls == [(0b0110, 0b1111, 0b1111)]
 
 
 def test_oracle_cap():

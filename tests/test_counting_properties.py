@@ -1,12 +1,13 @@
 """Property-based checks of the counting layer: relabeling invariance,
 monotonicity under edge addition, rooted counts summing to map counts, the
-symmetry-broken subgraph count times |Aut| equal to the map count, and
-cycle counts equal to those from closed-walk traces."""
+symmetry-broken subgraph count times |Aut| equal to the map count, the
+generated kernels against the brute-force oracle, and cycle counts equal
+to those from closed-walk traces."""
 
 import pytest
 
 from motifdiff.counting import (count_injective_homs, count_rooted,
-                                count_subgraphs)
+                                count_subgraphs, naive_count_oracle)
 from motifdiff.graphs import Graph, Pattern, automorphism_count
 from motifdiff.patterns import PATTERN_LIBRARY, derive_marked_patterns
 
@@ -76,6 +77,19 @@ def test_rooted_counts_sum_to_injective_maps(g, marked):
 def test_subgraph_count_times_aut_is_map_count(g, p):
     assert (count_subgraphs(g, p) * automorphism_count(p.graph)
             == count_injective_homs(g, p))
+
+
+@SETTINGS
+@given(graphs(max_n=9), graphs(min_n=1, max_n=7), st.data())
+def test_kernels_match_the_oracle_on_arbitrary_patterns(g, q, data):
+    # any pattern shape, isolated nodes and several components included,
+    # runs its own generated kernel; the oracle shares no code with it
+    assert count_subgraphs(g, Pattern(q)) == naive_count_oracle(g, Pattern(q))
+    if q.n >= 2:
+        marks = data.draw(st.permutations(range(q.n)))[:2]
+        total = sum(count_rooted(g, i, j, Pattern(q, marks=tuple(marks)))
+                    for i in range(g.n) for j in range(g.n) if i != j)
+        assert total == count_injective_homs(g, Pattern(q))
 
 
 @SETTINGS
