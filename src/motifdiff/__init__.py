@@ -4,8 +4,8 @@ Gaussian graph-diffusion testbed."""
 from importlib import import_module
 
 from .config import NoiseSchedule, ScoreConfig
-from .counting import (CountDistribution, count_injective_homs, count_rooted,
-                       count_subgraphs, count_table, naive_count_oracle)
+from .counting import (CountDistribution, count_injective_homs,
+                       count_subgraphs, count_table)
 from .datagen import plant_pattern_dataset
 from .dataio import read_dataset, write_dataset
 from .errors import (CapacityError, ContractError, GenerationError,
@@ -42,11 +42,11 @@ __all__ = [
     "NoiseSchedule", "NumericalRegimeError", "PATTERN_LIBRARY",
     "PATTERN_NAMES", "Pattern", "ScoreConfig", "ScoreOracle",
     "SeriesDivergenceError", "automorphism_count",
-    "canonical_form", "count_injective_homs", "count_rooted",
+    "canonical_form", "count_injective_homs",
     "count_subgraphs", "count_table", "derive_marked_patterns",
     "equivariant_basis", "evaluate", "get_pattern", "graph_from_edge_list",
     "invariant_basis", "marked_canonical_form", "monomial_sum",
-    "naive_count_oracle", "novelty_ratio",
+    "novelty_ratio",
     "perturb", "pinned_monomial_matrix", "plant_pattern_dataset", "quantize",
     "read_dataset", "resolve_patterns", "tv_distance",
     "verify_basis_expansion", "write_dataset",

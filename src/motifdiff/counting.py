@@ -13,26 +13,19 @@ function, cached per shape: nested loops, one per pattern node but the
 last, with no recursion. A level's candidates are the AND of the host nodes
 with the degree its pattern node needs, the free nodes, the neighbors of
 its placed neighbors' hosts and its order constraints; the last level is a
-popcount. A plan starts as a walk: a greedy order over the pattern's nodes
-that are not pinned, with no constraints. Injective map counts use the walk
-as it is; rooted counts pin the two marks, after ``count_rooted`` has
-checked the roots once. Subgraph counting compiles the pattern once into a
-plan that adds constraints host(v) < host(u) for each u in v's orbit under
-the automorphisms fixing the nodes before v (after Grochow & Kellis,
-RECOMB 2007), so the search meets each subgraph once. The orbits come from
-a chain of color refinements, one more node of the order individualized at
-each step. A cell contains the orbit, and the orbit sizes multiply to |Aut|
+popcount. A plan starts as a walk: a greedy order over the pattern's nodes,
+with no constraints. Injective map counts use the walk as it is. Subgraph
+counting compiles the pattern once into a plan that adds constraints
+host(v) < host(u) for each u in v's orbit under the automorphisms fixing
+the nodes before v (after Grochow & Kellis, RECOMB 2007), so the search
+meets each subgraph once. The orbits come from a chain of color
+refinements, one more node of the order individualized at each step. A
+cell contains the orbit, and the orbit sizes multiply to |Aut|
 (orbit-stabilizer), so cells whose sizes multiply to |Aut| are orbits.
 Otherwise (regular patterns such as C3 plus a disjoint C4) the chain is
 rebuilt from true orbits: u is in v's orbit when the symmetry search finds
 the same encoding with u or with v individualized (after McKay & Piperno,
 "Practical graph isomorphism, II").
-
-``naive_count_oracle`` recounts by brute force over all injective node
-assignments: the exact integer monomial sum of the pattern's edges over the
-host adjacency, divided by |Aut|. It exists to cross-check the matcher and
-is deliberately independent of it: no shared traversal code, just adjacency
-lookups over explicitly materialized assignments.
 """
 
 from __future__ import annotations
@@ -41,22 +34,18 @@ from dataclasses import dataclass, replace
 from functools import cache
 from typing import Mapping, Sequence
 
-from .errors import CapacityError, ContractError, InputError
+from .errors import ContractError, InputError
 from .graphs import (Graph, Pattern, _individualize, _refine_colors,
                      _symmetry_search, automorphism_count)
 from .parallel import ordered_map
-
-# Brute-force oracle materializes n!/(n-k)! assignments; past this it stops
-# being a quick cross-check and starts being a space problem.
-ORACLE_NODE_CAP = 9
 
 
 @dataclass(frozen=True)
 class _Plan:
     """A pattern compiled for the matcher.
 
-    `order` holds the non-pinned nodes; `prev_positions[i]` lists the
-    positions in (pins + order) of the placed neighbors of `order[i]`, and
+    `order` holds the pattern's nodes; `prev_positions[i]` lists the
+    positions in `order` of the placed neighbors of `order[i]`, and
     `smaller_positions[i]` the earlier positions whose host must be smaller
     than its host.
     """
@@ -67,25 +56,23 @@ class _Plan:
     smaller_positions: tuple[tuple[int, ...], ...]
 
 
-def _walk(p: Pattern, pinned: tuple[int, ...] = ()) -> _Plan:
-    """Unconstrained plan: a greedy order over the non-pinned nodes.
+def _walk(p: Pattern) -> _Plan:
+    """Unconstrained plan: a greedy order over the pattern's nodes.
 
     Nodes with more already-placed neighbors come first (their candidate
     sets are tighter), ties broken by degree then by index.
     """
     g = p.graph
-    placed = list(pinned)
+    placed: list[int] = []
     while len(placed) < g.n:
         placed.append(max(
             (v for v in range(g.n) if v not in placed),
             key=lambda v: (sum(u in placed for u in g.neighbor_lists[v]),
                            g.degrees[v], -v)))
-    order = tuple(placed[len(pinned):])
     prev_positions = tuple(
-        tuple(placed.index(u) for u in g.neighbor_lists[v]
-              if u in placed[:len(pinned) + i])
-        for i, v in enumerate(order))
-    return _Plan(p, order, prev_positions, ((),) * len(order))
+        tuple(placed.index(u) for u in g.neighbor_lists[v] if u in placed[:i])
+        for i, v in enumerate(placed))
+    return _Plan(p, tuple(placed), prev_positions, ((),) * g.n)
 
 
 def _compile(p: Pattern) -> _Plan:
@@ -120,20 +107,20 @@ def _compile(p: Pattern) -> _Plan:
 
 
 @cache
-def _kernel(base: int, prev_positions: tuple[tuple[int, ...], ...],
+def _kernel(prev_positions: tuple[tuple[int, ...], ...],
             smaller_positions: tuple[tuple[int, ...], ...]):
     """The matcher for one plan shape, generated from its integers alone:
-    `base` pins, then one level per entry of the position tuples.
+    one level per entry of the position tuples.
 
-    `kernel(masks, free0, h0..., f0...)` takes the host's neighbor masks,
-    the mask of hosts not pinned, the pinned hosts and, per level, the mask
-    of hosts with the degree its node needs. Each level but the last is one
-    `while` loop over its candidates, with the host of position p in the
-    local `h<p>`; the last level adds the popcount of its candidates. A
-    level's candidates are its degree mask, the free hosts, the neighbors of
-    the hosts of its placed neighbors, and the bits above the hosts it must
-    exceed (`-(2 << h)`). A term joins level i's partial mask `a<i>_<j>`
-    as soon as loop j - 1 binds its host, not in the innermost loop.
+    `kernel(masks, free0, f0...)` takes the host's neighbor masks, the mask
+    of hosts a map may use and, per level, the mask of hosts with the
+    degree its node needs. Each level but the last is one `while` loop over
+    its candidates, with the host of position p in the local `h<p>`; the
+    last level adds the popcount of its candidates. A level's candidates
+    are its degree mask, the free hosts, the neighbors of the hosts of its
+    placed neighbors, and the bits above the hosts it must exceed
+    (`-(2 << h)`). A term joins level i's partial mask `a<i>_<j>` as soon
+    as loop j - 1 binds its host, not in the innermost loop.
     PATTERN_NODE_CAP nodes nest 11 loops, under CPython's 20 nested blocks.
     """
     depth = len(prev_positions)
@@ -145,16 +132,15 @@ def _kernel(base: int, prev_positions: tuple[tuple[int, ...], ...],
     for i in range(depth):
         # masks[h] never holds h, so a level adjacent to the one before
         # needs only the hosts free before that one
-        j = i - 1 if i and base + i - 1 in prev_positions[i] else i
+        j = i - 1 if i and i - 1 in prev_positions[i] else i
         terms[j][i].append(f"free{j}")
         free_top = max(free_top, j)
         for p in prev_positions[i]:
-            terms[max(p - base + 1, 0)][i].append(f"masks[h{p}]")
+            terms[p + 1][i].append(f"masks[h{p}]")
         for p in smaller_positions[i]:
-            terms[max(p - base + 1, 0)][i].append(f"-(2 << h{p})")
+            terms[p + 1][i].append(f"-(2 << h{p})")
     read = {p for level in prev_positions + smaller_positions for p in level}
-    params = (["masks", "free0"] + [f"h{p}" for p in range(base)]
-              + [f"f{i}" for i in range(depth)])
+    params = ["masks", "free0"] + [f"f{i}" for i in range(depth)]
     lines = [f"def kernel({', '.join(params)}):", "    total = 0"]
     partial = [f"f{i}" for i in range(depth)]
     indent = "    "
@@ -174,8 +160,8 @@ def _kernel(base: int, prev_positions: tuple[tuple[int, ...], ...],
                   f"{indent}    cand{level} ^= low"]
         if level < free_top:
             lines.append(f"{indent}    free{level + 1} = free{level} ^ low")
-        if base + level in read:
-            lines.append(f"{indent}    h{base + level} = low.bit_length() - 1")
+        if level in read:
+            lines.append(f"{indent}    h{level} = low.bit_length() - 1")
         indent += "    "
     lines.append("    return total")
     namespace: dict = {}
@@ -183,10 +169,9 @@ def _kernel(base: int, prev_positions: tuple[tuple[int, ...], ...],
     return namespace["kernel"]
 
 
-def _count_embeddings(g: Graph, plan: _Plan, pins: tuple[int, ...] = ()) -> int:
+def _count_embeddings(g: Graph, plan: _Plan) -> int:
     """Number of injective edge-preserving maps of the plan's pattern into
-    `g` that send its pinned nodes onto the distinct host nodes `pins`,
-    whose adjacency the caller has checked, and meet its constraints."""
+    `g` that meet its constraints."""
     if plan.pattern.k > g.n:
         return 0
     if not plan.order:
@@ -195,9 +180,8 @@ def _count_embeddings(g: Graph, plan: _Plan, pins: tuple[int, ...] = ()) -> int:
     needs = [pdeg[v] for v in plan.order]
     fits = {need: sum(1 << u for u, d in enumerate(g.degrees) if d >= need)
             for need in set(needs)}
-    kernel = _kernel(len(pins), plan.prev_positions, plan.smaller_positions)
-    return kernel(g.neighbor_masks, ~sum(1 << h for h in pins), *pins,
-                  *[fits[need] for need in needs])
+    kernel = _kernel(plan.prev_positions, plan.smaller_positions)
+    return kernel(g.neighbor_masks, -1, *[fits[need] for need in needs])
 
 
 def count_injective_homs(g: Graph, p: Pattern) -> int:
@@ -216,35 +200,6 @@ def count_subgraphs(g: Graph, p: Pattern, plan: _Plan | None = None) -> int:
     if plan is None:
         plan = _compile(p)
     return _count_embeddings(g, plan)
-
-
-def count_rooted(g: Graph, i: int, j: int, p: Pattern) -> int:
-    """Injective maps sending the pattern's marks onto host nodes (i, j)."""
-    if p.marks is None:
-        raise ContractError("rooted counting requires a marked pattern")
-    if not (0 <= i < g.n and 0 <= j < g.n):
-        raise InputError(f"root ({i}, {j}) out of range for n={g.n}")
-    if i == j:
-        raise InputError("root nodes must be distinct")
-    c, d = p.marks
-    if p.graph.has_edge(c, d) and not g.has_edge(i, j):
-        return 0
-    return _count_embeddings(g, _walk(p, (c, d)), (i, j))
-
-
-def naive_count_oracle(g: Graph, p: Pattern) -> int:
-    """Brute-force recount over all injective node assignments (n <= 9)."""
-    from .polynomials import monomial_sum
-
-    if g.n > ORACLE_NODE_CAP:
-        raise CapacityError(
-            f"oracle is capped at {ORACLE_NODE_CAP} host nodes, got {g.n}")
-    homs = monomial_sum(g.adj, p.k, p.graph.edge_list)
-    aut = automorphism_count(p.graph)
-    if homs % aut:
-        raise ContractError(
-            f"brute-force map count {homs} not divisible by |Aut| = {aut}")
-    return homs // aut
 
 
 @dataclass(frozen=True)
@@ -278,9 +233,6 @@ class CountDistribution:
         total = self.sample_size
         return {k: c / total for k, c in self.counts.items()}
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.counts))
-
     def to_json_dict(self) -> dict:
         mass = self.mass
         return {
@@ -302,7 +254,7 @@ def count_table(graphs: Sequence[Graph], patterns: Sequence[Pattern],
         raise InputError("no graphs to count")
     plans = [_compile(p) for p in patterns]
     for plan in plans:  # built here, the workers inherit them
-        _kernel(0, plan.prev_positions, plan.smaller_positions)
+        _kernel(plan.prev_positions, plan.smaller_positions)
 
     def share_rows(share: Sequence[Graph]) -> list[list[int]]:
         return [[count_subgraphs(g, plan.pattern, plan) for plan in plans]

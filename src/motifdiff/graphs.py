@@ -117,10 +117,6 @@ class Graph:
                 for u, nbrs in enumerate(self.neighbor_lists)))
         return self._edge_list
 
-    def has_edge(self, u: int, v: int) -> bool:
-        # indexes like adj[u, v]: negatives count from the end, else IndexError
-        return bool(self.neighbor_masks[u] >> range(self.n)[v] & 1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -180,9 +176,6 @@ class Pattern:
     @property
     def k(self) -> int:
         return self.graph.n
-
-    def with_marks(self, c: int, d: int) -> "Pattern":
-        return Pattern(self.graph, name=self.name, marks=(c, d))
 
     def __repr__(self) -> str:
         tag = self.name or f"k={self.k}"

@@ -38,7 +38,8 @@ from .graphs import Pattern
 # keeps pattern order small enough for that to stay desk scale.
 BASIS_PATTERN_CAP = 6
 # Largest assignment list one evaluation may build (k index columns each);
-# the brute-force counting oracle at its 9-host cap needs 9! = 362,880.
+# the test suite's brute-force counting oracle, capped at 9 hosts, needs
+# 9! = 362,880.
 ASSIGNMENT_CAP = 10**6
 
 

@@ -1,13 +1,19 @@
 """Shared helpers for the test suite."""
 
 import os
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 
 import motifdiff
-from motifdiff.errors import InputError
-from motifdiff.graphs import Graph
+from motifdiff.errors import CapacityError, ContractError, InputError
+from motifdiff.graphs import Graph, automorphism_count
+from motifdiff.polynomials import monomial_sum
+
+# Brute-force oracle materializes n!/(n-k)! assignments; past this it stops
+# being a quick cross-check and starts being a space problem.
+ORACLE_NODE_CAP = 9
 
 
 def make_random_graph(n, prob, rng):
@@ -15,6 +21,36 @@ def make_random_graph(n, prob, rng):
     own random-graph helper so property tests do not lean on what they test."""
     upper = np.triu(rng.random((n, n)) < prob, 1).astype(np.uint8)
     return Graph(upper + upper.T)
+
+
+def naive_count_oracle(g, p):
+    """Brute-force recount over all injective node assignments (n <= 9): the
+    exact integer monomial sum of the pattern's edges over the host
+    adjacency, divided by |Aut|. It shares no traversal code with the
+    matcher, just adjacency lookups over explicitly materialized
+    assignments."""
+    if g.n > ORACLE_NODE_CAP:
+        raise CapacityError(
+            f"oracle is capped at {ORACLE_NODE_CAP} host nodes, got {g.n}")
+    homs = monomial_sum(g.adj, p.k, p.graph.edge_list)
+    aut = automorphism_count(p.graph)
+    if homs % aut:
+        raise ContractError(
+            f"brute-force map count {homs} not divisible by |Aut| = {aut}")
+    return homs // aut
+
+
+def rooted_counts(g, p):
+    """Rooted counts of a marked pattern as an n x n integer matrix: entry
+    (i, j) is the number of injective edge-preserving maps sending the marks
+    (c, d) onto host nodes (i, j). A plain tally over the k-permutations of
+    the host's nodes, independent of the monomial sums."""
+    c, d = p.marks
+    out = np.zeros((g.n, g.n), dtype=np.int64)
+    for s in permutations(range(g.n), p.k):
+        if all(g.adj[s[u], s[v]] for u, v in p.graph.edge_list):
+            out[s[c], s[d]] += 1
+    return out
 
 
 def cycle_counts_by_traces(g):

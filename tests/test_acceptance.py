@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from motifdiff.cli import main
-from motifdiff.counting import count_subgraphs, naive_count_oracle
+from motifdiff.counting import count_subgraphs
 from motifdiff.datagen import plant_pattern_dataset
 from motifdiff.diffusion import ScoreConfig, ScoreOracle
 from motifdiff.evaluation import evaluate
@@ -21,7 +21,7 @@ from motifdiff.verification import (run_basis, run_count_identity,
                                     run_equivariance, run_finitediff,
                                     run_series)
 
-from conftest import complete_graph, make_random_graph
+from conftest import complete_graph, make_random_graph, naive_count_oracle
 
 
 def _conclude(num, ok, detail):

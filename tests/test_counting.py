@@ -5,18 +5,16 @@ import pytest
 
 from motifdiff import counting
 from motifdiff.counting import (CountDistribution, _compile,
-                                count_injective_homs, count_rooted,
-                                count_subgraphs, count_table,
-                                naive_count_oracle)
+                                count_injective_homs, count_subgraphs,
+                                count_table)
 from motifdiff.errors import CapacityError, ContractError, InputError
 from motifdiff.graphs import Dataset, Graph, Pattern
 from motifdiff.patterns import (PATTERN_LIBRARY, cycle_graph,
-                                derive_marked_patterns, fused_cycles_graph,
-                                get_pattern, path_graph)
+                                fused_cycles_graph, get_pattern, path_graph)
 from motifdiff.polynomials import pinned_monomial_matrix
 
 from conftest import (complete_graph, cycle_counts_by_traces,
-                      make_random_graph)
+                      make_random_graph, naive_count_oracle, rooted_counts)
 
 
 def cycle(n):
@@ -98,25 +96,20 @@ def test_patterns_at_the_node_cap_compile_and_count():
     assert count_subgraphs(cycle(12), c12) == 1
     assert count_subgraphs(cycle(12), Pattern(path_graph(12))) == 12
     assert count_injective_homs(cycle(12), c12) == 24
-    # pinned ends: one 12-path joins 0 and 11 (the long way round), none
-    # joins 0 and 6
-    marked = Pattern(path_graph(12), marks=(0, 11))
-    assert count_rooted(cycle(12), 0, 11, marked) == 1
-    assert count_rooted(cycle(12), 0, 6, marked) == 0
 
 
 def test_one_kernel_per_plan_shape():
-    # every count_rooted call re-walks the pattern; the shape is the same,
-    # so its kernel is generated once and reused
+    # every call without a plan compiles or walks the pattern again; the
+    # shape is the same, so each shape's kernel is generated once and reused
     counting._kernel.cache_clear()
-    marked = derive_marked_patterns([get_pattern("c5")])[0]
-    g = make_random_graph(8, 0.5, np.random.default_rng(5))
-    for i in range(g.n):
-        for j in range(g.n):
-            if i != j:
-                count_rooted(g, i, j, marked)
+    p = get_pattern("c5")
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        g = make_random_graph(8, 0.5, rng)
+        count_subgraphs(g, p)
+        count_injective_homs(g, p)
     info = counting._kernel.cache_info()
-    assert info.misses == 1
+    assert info.misses == 2  # the compiled plan's shape and the walk's
     assert info.hits > 0
 
 
@@ -131,7 +124,7 @@ def test_kernels_take_only_the_hosts_their_masks_allow():
         sub = Graph(g.adj[np.ix_(keep, keep)])
         for p in PATTERN_LIBRARY.values():
             plan = _compile(p)
-            kernel = counting._kernel(0, plan.prev_positions,
+            kernel = counting._kernel(plan.prev_positions,
                                       plan.smaller_positions)
             assert (kernel(g.neighbor_masks, -1, *[allowed] * len(plan.order))
                     == count_subgraphs(sub, p, plan)), p
@@ -160,45 +153,23 @@ def test_oracle_cap():
         naive_count_oracle(Graph.from_edges(10, []), get_pattern("c3"))
 
 
-def test_rooted_validation():
-    g = cycle(6)
-    with pytest.raises(ContractError):
-        count_rooted(g, 0, 1, get_pattern("c6"))  # unmarked
-    marked = derive_marked_patterns([get_pattern("c6")])[0]
-    with pytest.raises(InputError):
-        count_rooted(g, 2, 2, marked)
-    with pytest.raises(InputError):
-        count_rooted(g, 0, 6, marked)
-
-
-def test_rooted_frozen_on_cycle():
-    # marked c6 is the 6-path with marked ends; rooting it at a host pair
-    # asks for spanning paths between them, and a cycle only has those
-    # between adjacent nodes (the cycle minus one edge), one per direction
-    marked = derive_marked_patterns([get_pattern("c6")])[0]
-    g = cycle(6)
-    assert count_rooted(g, 0, 1, marked) == 1
-    assert count_rooted(g, 1, 0, marked) == 1
-    assert count_rooted(g, 0, 2, marked) == 0
-
-
 def test_rooted_counts_with_adjacent_marks():
     # the marks of c4 rooted at (0, 1) are adjacent, so non-adjacent roots
-    # give 0; the marked edge has no node left to place. Both count against
-    # the exact pinned monomial sums over the host adjacency
+    # give 0; the marked edge has no node left to place; a 3-path marked at
+    # an end and the middle has no automorphism swapping its marks, so its
+    # matrix is not symmetric. The exact pinned monomial sums over the host
+    # adjacency match a plain tally
     rng = np.random.default_rng(11)
     patterns = [Pattern(cycle(4), marks=(0, 1)),
-                Pattern(Graph.from_edges(2, [(0, 1)]), marks=(0, 1))]
+                Pattern(Graph.from_edges(2, [(0, 1)]), marks=(0, 1)),
+                Pattern(path_graph(3), marks=(0, 1))]
     for _ in range(12):
         g = make_random_graph(int(rng.integers(4, 8)), 0.5, rng)
         adj = g.adj.astype(np.int64)
         for p in patterns:
             c, d = p.marks
-            expected = pinned_monomial_matrix(adj, p.k, p.graph.edge_list, c, d)
-            for i in range(g.n):
-                for j in range(g.n):
-                    if i != j:
-                        assert count_rooted(g, i, j, p) == expected[i, j], (p, i, j)
+            got = pinned_monomial_matrix(adj, p.k, p.graph.edge_list, c, d)
+            assert np.array_equal(got, rooted_counts(g, p)), p
 
 
 def test_rooted_sums_to_injective_homs():
@@ -207,15 +178,14 @@ def test_rooted_sums_to_injective_homs():
     p3_plain = Pattern(p3_marked.graph)
     for _ in range(10):
         g = make_random_graph(int(rng.integers(3, 7)), 0.5, rng)
-        total = sum(count_rooted(g, i, j, p3_marked)
-                    for i in range(g.n) for j in range(g.n) if i != j)
+        total = pinned_monomial_matrix(g.adj.astype(np.int64), 3,
+                                       p3_marked.graph.edge_list, 0, 2).sum()
         assert total == count_injective_homs(g, p3_plain)
 
 
 def test_count_distribution_from_counts():
     d = CountDistribution.from_counts([1, 1, 2, 1])
     assert d.sample_size == 4
-    assert d.support() == (1, 2)
     assert d.mass == {1: 0.75, 2: 0.25}
     assert d.counts == {1: 3, 2: 1}
     assert d.to_json_dict() == {

@@ -1,17 +1,18 @@
 """Property-based checks of the counting layer: relabeling invariance,
-monotonicity under edge addition, rooted counts summing to map counts, the
-symmetry-broken subgraph count times |Aut| equal to the map count, the
-generated kernels against the brute-force oracle, and cycle counts equal
-to those from closed-walk traces."""
+monotonicity under edge addition, pinned monomial sums summing to map
+counts, the symmetry-broken subgraph count times |Aut| equal to the map
+count, the generated kernels against the brute-force oracle, and cycle
+counts equal to those from closed-walk traces."""
 
+import numpy as np
 import pytest
 
-from motifdiff.counting import (count_injective_homs, count_rooted,
-                                count_subgraphs, naive_count_oracle)
+from motifdiff.counting import count_injective_homs, count_subgraphs
 from motifdiff.graphs import Graph, Pattern, automorphism_count
 from motifdiff.patterns import PATTERN_LIBRARY, derive_marked_patterns
+from motifdiff.polynomials import pinned_monomial_matrix
 
-from conftest import cycle_counts_by_traces, permute_graph
+from conftest import cycle_counts_by_traces, naive_count_oracle, permute_graph
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -67,8 +68,9 @@ def test_counts_do_not_fall_when_an_edge_is_added(g, p, data):
 @SETTINGS
 @given(graphs(max_n=7), st.sampled_from(MARKED))
 def test_rooted_counts_sum_to_injective_maps(g, marked):
-    total = sum(count_rooted(g, i, j, marked)
-                for i in range(g.n) for j in range(g.n) if i != j)
+    c, d = marked.marks
+    total = pinned_monomial_matrix(g.adj.astype(np.int64), marked.k,
+                                   marked.graph.edge_list, c, d).sum()
     assert total == count_injective_homs(g, Pattern(marked.graph))
 
 
@@ -86,9 +88,9 @@ def test_kernels_match_the_oracle_on_arbitrary_patterns(g, q, data):
     # runs its own generated kernel; the oracle shares no code with it
     assert count_subgraphs(g, Pattern(q)) == naive_count_oracle(g, Pattern(q))
     if q.n >= 2:
-        marks = data.draw(st.permutations(range(q.n)))[:2]
-        total = sum(count_rooted(g, i, j, Pattern(q, marks=tuple(marks)))
-                    for i in range(g.n) for j in range(g.n) if i != j)
+        c, d = data.draw(st.permutations(range(q.n)))[:2]
+        total = pinned_monomial_matrix(g.adj.astype(np.int64), q.n,
+                                       q.edge_list, c, d).sum()
         assert total == count_injective_homs(g, Pattern(q))
 
 

@@ -138,19 +138,7 @@ def test_graph_fields():
     assert g.edge_list == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
     assert g.neighbor_lists[0] == (1, 2, 3)
     assert g.neighbor_masks[0] == 0b1110
-    assert g.has_edge(1, 3) and not complete_graph(2).has_edge(0, 0)
-
-
-def test_has_edge_indexes_like_adj():
-    g = Graph.from_edges(4, [(0, 3), (1, 2)])
-    for u in range(-4, 4):
-        for v in range(-4, 4):
-            assert g.has_edge(u, v) == bool(g.adj[u, v])
-    for u, v in [(0, 4), (4, 0), (0, -5), (-5, 0)]:
-        with pytest.raises(IndexError):
-            g.has_edge(u, v)
-        with pytest.raises(IndexError):
-            g.adj[u, v]
+    assert g.adj[1, 3] and not complete_graph(2).adj[0, 0]
 
 
 def test_graph_equality_and_hash():
@@ -187,8 +175,6 @@ def test_pattern_marks_validation():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     p = Pattern(g, name="p3", marks=(0, 2))
     assert p.k == 3 and p.marks == (0, 2)
-    q = p.with_marks(2, 0)
-    assert q.marks == (2, 0) and q.name == "p3"
     with pytest.raises(InputError):
         Pattern(g, marks=(0, 0))
     with pytest.raises(InputError):

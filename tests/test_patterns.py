@@ -49,7 +49,7 @@ def test_fused_shares_exactly_one_edge():
         g = fused_cycles_graph(x, y)
         assert g.n == x + y - 2
         assert g.m == x + y - 1
-        assert g.has_edge(0, 1)
+        assert g.adj[0, 1]
         # the two shared nodes carry degree 3, everything else sits on one cycle
         assert sorted(g.degrees) == [2] * (g.n - 2) + [3, 3]
 
@@ -88,7 +88,7 @@ def test_derive_marked_shapes():
         assert p.marks is not None
         assert p.name == src.name
         # marks are the removed edge's endpoints, now non-adjacent
-        assert not p.graph.has_edge(*p.marks)
+        assert not p.graph.adj[p.marks]
     with pytest.raises(InputError):
         derive_marked_patterns(derived)
 
