@@ -13,7 +13,9 @@ powers. Both are implemented on a shared template table: the deduplicated
 permuted-adjacency rows with multiplicities. The rows are bit-packed into
 big-endian 64-bit words, whose order is the rows' lexicographic order, and
 deduplicated by one ``np.lexsort`` over the word columns, so the table is
-the one ``np.unique(rows, axis=0)`` would give. ``verify_basis_expansion``
+the one ``np.unique(rows, axis=0)`` would give. A table whose float64 form
+would pass ``FLOAT_TABLE_BYTES_CAP`` is kept as its 0/1 bytes, which einsum
+casts to float64 exactly. ``verify_basis_expansion``
 checks the algebraic identity behind the series form against the
 graph-polynomial module, one term per set partition of the index positions.
 
@@ -45,6 +47,10 @@ EXHAUSTIVE_PERM_CAP = 8
 
 # Largest single array the oracle build may allocate, in bytes.
 ORACLE_BYTES_CAP = 2**30
+
+# Largest template table held as float64, in bytes; a larger one is held as
+# its 0/1 bytes (see ScoreOracle).
+FLOAT_TABLE_BYTES_CAP = 2**24
 
 # Largest (samples x templates) float64 array one batch of reverse steps
 # may hold, in bytes. Past 65,536 templates a batch is one sample, so the
@@ -159,8 +165,11 @@ class ScoreOracle:
     big-endian 64-bit words, ceil(E/64) per row. ``np.lexsort`` over the
     word columns sorts the rows; the first row of each run is a template,
     the run lengths are its count, and the words are unpacked back to rows.
-    The gather, the keys and the float64 table are each held
-    under ``ORACLE_BYTES_CAP``, and Monte Carlo draws under
+    The table is those 0/1 bytes, converted to float64 only while that copy
+    fits ``FLOAT_TABLE_BYTES_CAP``: a table that outgrows the cache streams
+    8x fewer bytes per step as bytes, and one that stays in cache is faster
+    without einsum's cast. The gather, the keys and the byte table are each
+    held under ``ORACLE_BYTES_CAP``, and Monte Carlo draws under
     ``MC_SAMPLES_CAP`` (``CapacityError`` past either). Everything else is a
     small amount of arithmetic per query against that table.
     """
@@ -215,21 +224,22 @@ class ScoreOracle:
         for i, g in enumerate(graphs):
             rows = g.adj.ravel()[flat]
             keys[i * num_perms:(i + 1) * num_perms, :packed] = np.packbits(rows, axis=1)
+        del perms, flat, rows
         # big-endian, zero-padded words: word order is the rows' order
         keys = keys.view(">u8").astype(np.uint64)
         keys = keys[np.lexsort(keys.T[::-1])]
         starts = np.flatnonzero(np.concatenate(
             ([True], np.any(keys[1:] != keys[:-1], axis=1))))
-        _check_oracle_bytes(starts.size * slots * 8, "the template table")
+        _check_oracle_bytes(starts.size * slots, "the template table")
         templates = np.unpackbits(keys[starts].astype(">u8").view(np.uint8),
                                   axis=1, count=slots)
-        # freed only now: once a block this large is released, glibc serves
-        # the sort's mid-size arrays from its heap, where they stay resident
-        # after the build and raise the sampler's peak RSS
-        del perms, flat, rows, keys
+        del keys
         counts = np.diff(starts, append=total)
         del starts
-        self._V = templates.astype(np.float64)
+        # the einsums cast 0/1 bytes to float64 exactly, so either form
+        # gives the same bits
+        small = templates.size * 8 <= FLOAT_TABLE_BYTES_CAP
+        self._V = templates.astype(np.float64) if small else templates
         self._logmult = np.log(counts.astype(np.float64))
         # on 0/1 rows the row sum is the sum of squares, exactly
         self._ssq = templates.sum(axis=1, dtype=np.float64)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from motifdiff import graphs
+from motifdiff import diffusion, graphs
 from motifdiff.cli import _default_threads, build_parser, main
 from motifdiff.dataio import read_dataset, write_dataset
 from motifdiff.diffusion import NoiseSchedule, ScoreConfig, ScoreOracle
@@ -187,6 +187,26 @@ def test_sample_batches_match_one_sample_calls(train_path, tmp_path):
                   for t, W in trajectories[0]]
     assert read_dataset(tmp_path / "gen_1.jsonl").graphs == tuple(graphs)
     assert files[0][1] == "".join(lines).encode()
+
+
+def test_sample_writes_the_same_bytes_from_a_byte_table(train_path, tmp_path,
+                                                       monkeypatch):
+    # this set's table is float64 as shipped; held as its 0/1 bytes it
+    # gives the same samples and trajectories, direct and series
+    def outputs():
+        files = []
+        for score in ("direct", "series"):
+            out, traj = tmp_path / "gen.jsonl", tmp_path / "traj.jsonl"
+            assert run(["sample", "--train", train_path, "--num-samples", "5",
+                        "--steps", "12", "--score", score, "--t-min", "0.5",
+                        "--seed", "5", "--threads", "2", "--trajectories", str(traj),
+                        "--out", str(out)]) == 0
+            files.append((out.read_bytes(), traj.read_bytes()))
+        return files
+
+    shipped = outputs()
+    monkeypatch.setattr(diffusion, "FLOAT_TABLE_BYTES_CAP", 0)
+    assert outputs() == shipped
 
 
 def test_sample_divergence_reports_the_lowest_failing_sample(train_path,

@@ -223,22 +223,32 @@ def test_exhaustive_oracle_adds_nothing_to_the_monomial_cache():
 
 def log_density_cases():
     rng = np.random.default_rng(23)
+    shipped = diffusion.FLOAT_TABLE_BYTES_CAP
     # ties: at W = 0 the 5 star templates share the largest logit, above
     # the 60 path templates
     path = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     yield pytest.param(Dataset(graphs=(star_graph(5), star_graph(5), path)), 5,
-                       300, id="ties")
-    yield pytest.param(Dataset(graphs=(complete_graph(4),)), 4, 20,
+                       300, shipped, id="ties")
+    yield pytest.param(Dataset(graphs=(complete_graph(4),)), 4, 20, shipped,
                        id="one-template")
     graphs = tuple(make_random_graph(6, 0.5, rng) for _ in range(3))
-    yield pytest.param(Dataset(graphs=graphs), 6, 300, id="n6")
-    # sample-wide's n, with 70,560 templates
+    yield pytest.param(Dataset(graphs=graphs), 6, 300, shipped, id="n6")
+    # sample-wide's n, with 70,560 templates (15.8 MB as float64), and the
+    # same table held as bytes
     graphs = tuple(make_random_graph(8, 0.4, rng) for _ in range(3))
-    yield pytest.param(Dataset(graphs=graphs), 8, 60, id="wide")
+    yield pytest.param(Dataset(graphs=graphs), 8, 60, shipped, id="wide")
+    yield pytest.param(Dataset(graphs=graphs), 8, 60, 0, id="wide-bytes")
 
 
-@pytest.mark.parametrize("dataset,n,queries", list(log_density_cases()))
-def test_log_density_matches_scipy_logsumexp_bit_for_bit(dataset, n, queries):
+@pytest.fixture
+def byte_table(monkeypatch):
+    """Every template table held as its 0/1 bytes, however small."""
+    monkeypatch.setattr(diffusion, "FLOAT_TABLE_BYTES_CAP", 0)
+
+
+@pytest.mark.parametrize("dataset,n,queries,float_cap", list(log_density_cases()))
+def test_log_density_matches_scipy_logsumexp_bit_for_bit(dataset, n, queries,
+                                                         float_cap, monkeypatch):
     # scipy is a test-only witness: the oracle's own log-sum-exp must give
     # the bits of scipy's, which log_density returned before; a plain sum of
     # exp(x - max), or the same terms summed in another order, differs from
@@ -246,7 +256,9 @@ def test_log_density_matches_scipy_logsumexp_bit_for_bit(dataset, n, queries):
     pytest.importorskip("scipy", minversion="1.17", exc_type=ImportError)
     from scipy.special import logsumexp
 
+    monkeypatch.setattr(diffusion, "FLOAT_TABLE_BYTES_CAP", float_cap)
     oracle = ScoreOracle(dataset, n, cfg=EXH)
+    assert oracle._V.dtype == (np.uint8 if float_cap == 0 else np.float64)
     rng = np.random.default_rng(n)
     spread = 0.0
     for query in range(queries):
@@ -275,10 +287,22 @@ def test_log_sum_exp_of_a_non_finite_maximum_is_that_maximum():
 
 
 def test_oracle_byte_cap(monkeypatch):
-    # one graph of each of the 11 isomorphism classes on 4 nodes: 24
-    # permutations x (8 x 4 + 9 x 6) = 2,064 bytes of permutations, flat
-    # index and rows; 11 x 24 one-word keys x 8 = 2,112 bytes; all 64
-    # labeled graphs as templates x 6 slots x 8 = 3,072 bytes of table
+    # 50 random 9-node graphs under 20 Monte Carlo permutations, whose 1,000
+    # rows of 36 slots are all distinct: 20 x (8 x 9 + 9 x 36) = 7,920
+    # bytes of permutations, flat index and rows; 1,000 one-word keys x 8 =
+    # 8,000 bytes; 1,000 templates x 36 slots = 36,000 bytes of 0/1 table
+    rng = np.random.default_rng(9)
+    wide = Dataset(graphs=tuple(make_random_graph(9, 0.5, rng)
+                                for _ in range(50)))
+    twenty = ScoreConfig(perm_policy="monte_carlo", mc_samples=20)
+    for cap, what in ((7919, "gather"), (7920, "row keys"), (7999, "row keys"),
+                      (8000, "template table"), (35999, "template table")):
+        monkeypatch.setattr(diffusion, "ORACLE_BYTES_CAP", cap)
+        with pytest.raises(CapacityError, match=what):
+            ScoreOracle(wide, 9, cfg=twenty)
+    monkeypatch.setattr(diffusion, "ORACLE_BYTES_CAP", 36000)
+    assert ScoreOracle(wide, 9, cfg=twenty).num_templates == 1000
+    # one graph of each of the 11 isomorphism classes on 4 nodes
     classes = [[], [(0, 1)], [(0, 1), (1, 2)], [(0, 1), (2, 3)],
                [(0, 1), (1, 2), (0, 2)], [(0, 1), (0, 2), (0, 3)],
                [(0, 1), (1, 2), (2, 3)], [(0, 1), (1, 2), (2, 3), (0, 3)],
@@ -286,13 +310,6 @@ def test_oracle_byte_cap(monkeypatch):
                [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)],
                [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]]
     every = Dataset(graphs=tuple(Graph.from_edges(4, e) for e in classes))
-    for cap, what in ((2063, "gather"), (2064, "row keys"), (2111, "row keys"),
-                      (2112, "template table"), (3071, "template table")):
-        monkeypatch.setattr(diffusion, "ORACLE_BYTES_CAP", cap)
-        with pytest.raises(CapacityError, match=what):
-            ScoreOracle(every, 4, cfg=EXH)
-    monkeypatch.setattr(diffusion, "ORACLE_BYTES_CAP", 3072)
-    assert ScoreOracle(every, 4, cfg=EXH).num_templates == 64
     # the flat index and one graph's rows of 1.5e7 permutations fit
     # (1.5e7 x 54 bytes), but not with the 1.5e7 x 4 x 8 bytes of
     # permutations beside them; refused before the Monte Carlo cap
@@ -325,6 +342,43 @@ def test_oracle_mc_samples_cap(monkeypatch):
         ScoreOracle(paths, 4, cfg=over)
     exhaustive = ScoreConfig(perm_policy="exhaustive", mc_samples=10**6 + 1)
     assert ScoreOracle(paths, 4, cfg=exhaustive).num_templates == 12
+
+
+def test_table_is_float64_up_to_the_cap(monkeypatch):
+    # 12 paths on 4 nodes x 6 slots: 72 entries, 576 bytes as float64
+    paths = Dataset(graphs=(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),))
+    assert diffusion.FLOAT_TABLE_BYTES_CAP == 2**24
+    tables = []
+    for cap, dtype in ((575, np.uint8), (576, np.float64)):
+        monkeypatch.setattr(diffusion, "FLOAT_TABLE_BYTES_CAP", cap)
+        oracle = ScoreOracle(paths, 4, cfg=EXH)
+        assert oracle._V.dtype == dtype and oracle._V.shape == (12, 6)
+        assert oracle._ssq.dtype == np.float64
+        tables.append((oracle._V, oracle._logmult, oracle._ssq))
+    assert all(np.array_equal(a, b) for a, b in zip(*tables))
+
+
+@pytest.mark.parametrize("V,E", [(2, 1), (12, 6), (64, 6), (1000, 10),
+                                 (2520, 21), (16000, 14), (9000, 28)])
+def test_einsum_gives_byte_and_float_tables_the_same_bits(V, E):
+    # einsum casts a uint8 operand to float64 through 8,192-element buffers;
+    # the oracle's contractions must give the float64 table's bits on both
+    # sides of that size. An E-slot table has at most 2^E distinct rows, so
+    # V <= 2^E here: at E = 1 and V > 8,192 the batched posterior mean does
+    # sum in another order
+    rng = np.random.default_rng(V * E)
+    T = (rng.random((V, E)) < 0.5).astype(np.uint8)
+    F = T.astype(np.float64)
+    for batch in [()] + [(b,) for b in range(1, 9)]:
+        w = rng.standard_normal(batch + (E,))
+        x = rng.standard_normal(batch + (V,))
+        pairs = [[np.einsum("ve,...e->...v", t, w, optimize=False) for t in (T, F)],
+                 [np.einsum("...v,ve->...e", x, t, optimize=False) for t in (T, F)]]
+        if batch:  # the series numerator's spelling
+            pairs.append([np.einsum("bv,ve->be", x, t, optimize=False)
+                          for t in (T, F)])
+        for got, want in pairs:
+            assert got.dtype == np.float64 and np.array_equal(got, want), batch
 
 
 def test_oracle_input_errors():
@@ -364,19 +418,24 @@ def test_in_place_step_matches_the_expression_bit_for_bit():
     # oracle computes it in place, and sample bytes depend on every bit
     oracle = ScoreOracle(small_dataset(6, 4, 11), 6, cfg=EXH)
     rng = np.random.default_rng(12)
+    V = oracle._V.astype(np.float64)
     for t in (1.0, 0.5, 0.05, 0.002):
         w = 3.0 * rng.standard_normal(oracle.num_edge_slots)
         alpha, beta = oracle._alpha_beta(t)
-        ip = np.einsum("ve,e->v", oracle._V, w, optimize=False)
+        ip = np.einsum("ve,e->v", V, w, optimize=False)
         logits = oracle._logmult + (alpha * ip - 0.5 * alpha * alpha
                                     * oracle._ssq) / (beta * beta)
         weights = np.exp(logits - logits.max())
         weights = weights / weights.sum()
-        mean = np.einsum("v,ve->e", weights, oracle._V, optimize=False)
+        mean = np.einsum("v,ve->e", weights, V, optimize=False)
         b2 = beta * beta
         assert np.array_equal(oracle._logits(w, alpha, beta), logits)
         assert np.array_equal(oracle._score_upper(w, t),
                               -w / b2 + (alpha / b2) * mean)
+
+
+def test_in_place_step_on_the_byte_table(byte_table):
+    test_in_place_step_matches_the_expression_bit_for_bit()
 
 
 def test_batched_rows_match_one_row_calls():
@@ -408,6 +467,10 @@ def test_batched_rows_match_one_row_calls():
         assert failure is None and np.array_equal(series[b], one[0])
 
 
+def test_batched_rows_on_the_byte_table(byte_table):
+    test_batched_rows_match_one_row_calls()
+
+
 def test_reverse_sample_batches_match_single_samples(monkeypatch):
     oracle = ScoreOracle(small_dataset(5, 3, 2), 5, cfg=EXH)
 
@@ -428,6 +491,10 @@ def test_reverse_sample_batches_match_single_samples(monkeypatch):
         monkeypatch.setattr(diffusion, "BATCH_BYTES_CAP",
                             rows * 8 * oracle.num_templates)
         assert sample(range(5)) == want
+
+
+def test_reverse_sample_batches_on_the_byte_table(byte_table, monkeypatch):
+    test_reverse_sample_batches_match_single_samples(monkeypatch)
 
 
 def test_density_invariance_and_score_equivariance():
