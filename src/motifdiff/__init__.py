@@ -13,8 +13,7 @@ from .errors import (CapacityError, ContractError, GenerationError,
                      SeriesDivergenceError)
 from .evaluation import EvalReport, evaluate, novelty_ratio, tv_distance
 from .graphs import (Dataset, Graph, Pattern, automorphism_count,
-                     canonical_form, graph_from_edge_list,
-                     marked_canonical_form)
+                     canonical_form, marked_canonical_form)
 from .patterns import (PATTERN_LIBRARY, PATTERN_NAMES, derive_marked_patterns,
                        get_pattern, resolve_patterns)
 
@@ -44,7 +43,7 @@ __all__ = [
     "SeriesDivergenceError", "automorphism_count",
     "canonical_form", "count_injective_homs",
     "count_subgraphs", "count_table", "derive_marked_patterns",
-    "equivariant_basis", "evaluate", "get_pattern", "graph_from_edge_list",
+    "equivariant_basis", "evaluate", "get_pattern",
     "invariant_basis", "marked_canonical_form", "monomial_sum",
     "novelty_ratio",
     "perturb", "pinned_monomial_matrix", "plant_pattern_dataset", "quantize",

@@ -16,7 +16,7 @@ import sys
 from .config import SUITE_NAMES, NoiseSchedule, ScoreConfig
 from .counting import CountDistribution, count_table
 from .dataio import read_dataset, write_dataset
-from .datagen import plant_pattern_dataset
+from .datagen import DECORATIONS, plant_pattern_dataset
 from .errors import InputError, MotifdiffError
 from .evaluation import evaluate
 from .graphs import Dataset
@@ -225,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, required=True, help="nodes per graph")
     p_gen.add_argument("--count", type=int, required=True,
                        help="number of graphs")
-    p_gen.add_argument("--decoration", choices=("none", "tree"),
-                       default="tree",
+    p_gen.add_argument("--decoration", choices=DECORATIONS, default="tree",
                        help="how the non-pattern nodes attach (default tree)")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--monitor", default=None,

@@ -1,8 +1,11 @@
 """Dataset serialization.
 
 JSON Lines, one graph per line: ``{"n": <int>, "edges": [[u, v], ...]}``
-with 1-based node indices. An optional metadata line ``{"meta": {...}}``
-may appear at the top of the file. Parse failures carry line numbers.
+with 1-based node indices: n >= 1 and each endpoint an integer in 1..n.
+Repeated and reversed edges collapse into one; self-loops, other keys and
+hosts past ``HOST_NODE_CAP`` nodes are refused. An optional metadata line
+``{"meta": {...}}`` may appear at the top of the file. Parse failures
+carry line numbers.
 """
 
 from __future__ import annotations
@@ -11,37 +14,43 @@ import json
 from pathlib import Path
 
 from .errors import CapacityError, InputError
-from .graphs import Dataset, Graph, graph_from_edge_list
+from .graphs import Dataset, Graph
 
 # A graph is built from n rows of n bytes; refuse larger hosts before
 # allocating them.
 HOST_NODE_CAP = 1000
 
 
-def _parse_graph_line(obj, lineno: int) -> Graph:
+def _parse_graph_line(obj) -> Graph:
+    """One graph line's parsed JSON; the caller prefixes errors with the line."""
     if not isinstance(obj, dict) or set(obj) != {"n", "edges"}:
-        raise InputError(
-            f"line {lineno}: expected an object with exactly the keys"
-            f" 'n' and 'edges'")
+        raise InputError("expected an object with exactly the keys 'n' and 'edges'")
     n = obj["n"]
     edges = obj["edges"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InputError(f"line {lineno}: 'n' must be an integer")
+    if type(n) is not int:
+        raise InputError("'n' must be an integer")
     if n > HOST_NODE_CAP:
-        raise CapacityError(
-            f"line {lineno}: {n} nodes exceeds the host cap of {HOST_NODE_CAP}")
+        raise CapacityError(f"{n} nodes exceeds the host cap of {HOST_NODE_CAP}")
     if not isinstance(edges, list) or not all(
             isinstance(e, list) and len(e) == 2 for e in edges):
-        raise InputError(f"line {lineno}: 'edges' must be a list of pairs")
-    try:
-        return graph_from_edge_list(n, [tuple(e) for e in edges])
-    except InputError as exc:
-        raise InputError(f"line {lineno}: {exc}") from None
+        raise InputError("'edges' must be a list of pairs")
+    if n < 1:
+        raise InputError("node count must be a positive integer")
+    pairs = []
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise InputError(f"edge ({u}, {v}) endpoints must be integers")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise InputError(f"edge ({u}, {v}) endpoint out of range 1..{n}")
+        if u == v:
+            raise InputError(f"self-loop at node {u}")
+        pairs.append((u - 1, v - 1))
+    return Graph.from_edges(n, pairs)
 
 
 def read_dataset_lines(lines, source: str = "<stream>") -> Dataset:
     graphs: list[Graph] = []
-    metadata: dict[str, str] = {}
+    metadata: dict = {}
     meta_seen = False
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
@@ -59,18 +68,17 @@ def read_dataset_lines(lines, source: str = "<stream>") -> Dataset:
                 raise InputError(
                     f"{source}, line {lineno}: metadata line must be first")
             meta_seen = True
-            meta = obj["meta"]
-            if not isinstance(meta, dict):
+            metadata = obj["meta"]
+            if not isinstance(metadata, dict):
                 raise InputError(f"{source}, line {lineno}: 'meta' must be an object")
-            metadata = {str(k): str(v) for k, v in meta.items()}
             continue
         try:
-            graphs.append(_parse_graph_line(obj, lineno))
+            graphs.append(_parse_graph_line(obj))
         except (InputError, CapacityError) as exc:
-            raise type(exc)(f"{source}: {exc}") from None
+            raise type(exc)(f"{source}: line {lineno}: {exc}") from None
     if not graphs:
         raise InputError(f"{source}: no graphs found")
-    return Dataset(graphs=tuple(graphs), metadata=metadata)
+    return Dataset(graphs=graphs, metadata=metadata)
 
 
 def read_dataset(path) -> Dataset:

@@ -3,8 +3,8 @@
 Graphs are simple and undirected, stored as one neighbor bitmask per node (bit
 v of mask u is the edge uv); the dense adjacency (with numpy) and the edge list
 are built on first use.
-Node ids are 0-based everywhere inside the library; ``graph_from_edge_list``
-and the JSONL dataset format are the 1-based boundary.
+Node ids are 0-based everywhere inside the library; the 1-based JSONL
+dataset format, and its rules, belong to ``dataio``.
 
 Canonical labeling and automorphism counting are one individualize-and-refine
 search (after McKay & Piperno, "Practical graph isomorphism, II"). A pass
@@ -16,7 +16,8 @@ ordering is the search leaf with the smallest adjacency encoding, so equal
 ``canonical_form`` bytes is the isomorphism test; |Aut| is the product of
 the |class|! times the number of leaves that tie it. Symmetry between
 non-twin parts stays exponential: k disjoint edges give k! leaves, so a
-search past ``SYMMETRY_SIGNATURE_CAP`` refinement signatures is refused.
+search past ``SYMMETRY_SIGNATURE_CAP`` refinement signatures is refused,
+whatever the node count: that is the search's one bound.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, InputError
 
-# Exhaustive-search bounds. Patterns stay small by contract; automorphism
-# counting refuses anything larger instead of silently taking forever.
+# Patterns stay small by contract: the matcher's plans are exhaustive.
 PATTERN_NODE_CAP = 12
-AUTOMORPHISM_NODE_CAP = 12
 # Refinement signatures (n per pass) one symmetry search may build, about
 # 1-2 s of work: 6 disjoint edges take 21k, 7 take 172k, 8 take 1.57M.
 SYMMETRY_SIGNATURE_CAP = 500_000
@@ -127,29 +126,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def graph_from_edge_list(n: int, edges: Iterable[Sequence[int]]) -> Graph:
-    """Build a graph from 1-based endpoint pairs (the file-format convention).
-
-    Duplicate edges collapse silently; self-loops and out-of-range endpoints
-    are rejected.
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputError("node count must be a positive integer")
-    shifted = []
-    for e in edges:
-        if len(e) != 2:
-            raise InputError(f"edge {tuple(e)} must have exactly two endpoints")
-        u, v = e
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (u, v)):
-            raise InputError(f"edge ({u}, {v}) endpoints must be integers")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise InputError(f"edge ({u}, {v}) endpoint out of range 1..{n}")
-        if u == v:
-            raise InputError(f"self-loop at node {u}")
-        shifted.append((u - 1, v - 1))
-    return Graph.from_edges(n, shifted)
 
 
 class Pattern:
@@ -338,9 +314,6 @@ def marked_canonical_form(p: Pattern) -> bytes:
 
 def automorphism_count(g: Graph) -> int:
     """Exact order of the automorphism group: the twin factor times the
-    number of search leaves that tie the canonical key."""
-    if g.n > AUTOMORPHISM_NODE_CAP:
-        raise CapacityError(
-            f"automorphism counting is capped at {AUTOMORPHISM_NODE_CAP} nodes,"
-            f" got {g.n}")
+    number of search leaves that tie the canonical key. Bounded, like
+    ``canonical_form``, by ``SYMMETRY_SIGNATURE_CAP`` alone."""
     return _symmetry_search(g, (0,) * g.n)[2]

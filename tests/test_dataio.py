@@ -83,6 +83,50 @@ def test_endpoint_errors_carry_line_number():
     assert "line 2" in str(err.value)
 
 
+# One malformed graph line after a good one, and the reader's whole message.
+# The shape checks (keys, the type of n, the host cap, pair shape) come
+# before n >= 1, then each edge in turn: integer endpoints, 1..n, no loop.
+MALFORMED_LINES = [
+    ('{"n": 3}', "expected an object with exactly the keys 'n' and 'edges'"),
+    ('[1, 2]', "expected an object with exactly the keys 'n' and 'edges'"),
+    ('{"n": true, "edges": []}', "'n' must be an integer"),
+    ('{"n": 2.0, "edges": []}', "'n' must be an integer"),
+    ('{"n": 1001, "edges": [[1]]}', "1001 nodes exceeds the host cap of 1000"),
+    ('{"n": 3, "edges": [[1, 2, 3]]}', "'edges' must be a list of pairs"),
+    ('{"n": 3, "edges": [[1, 2], 7]}', "'edges' must be a list of pairs"),
+    ('{"n": 0, "edges": [[1]]}', "'edges' must be a list of pairs"),
+    ('{"n": 0, "edges": []}', "node count must be a positive integer"),
+    ('{"n": -2, "edges": [[1, 1]]}', "node count must be a positive integer"),
+    ('{"n": 3, "edges": [[1, true]]}', "edge (1, True) endpoints must be integers"),
+    ('{"n": 3, "edges": [[2.0, 9]]}', "edge (2.0, 9) endpoints must be integers"),
+    ('{"n": 3, "edges": [[null, "a"]]}', "edge (None, a) endpoints must be integers"),
+    ('{"n": 3, "edges": [[0, 1]]}', "edge (0, 1) endpoint out of range 1..3"),
+    ('{"n": 3, "edges": [[1, 4]]}', "edge (1, 4) endpoint out of range 1..3"),
+    ('{"n": 3, "edges": [[4, 4]]}', "edge (4, 4) endpoint out of range 1..3"),
+    ('{"n": 3, "edges": [[2, 2]]}', "self-loop at node 2"),
+    ('{"n": 3, "edges": [[1, 2], [3, 3], [1, 9]]}', "self-loop at node 3"),
+]
+
+
+@pytest.mark.parametrize("line,message", MALFORMED_LINES)
+def test_malformed_graph_line_message(line, message, tmp_path, capsys):
+    lines = ['{"n": 1, "edges": []}', line]
+    error = CapacityError if "host cap" in message else InputError
+    with pytest.raises(error) as err:
+        read_dataset_lines(lines, source="f")
+    assert str(err.value) == f"f: line 2: {message}"
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["count", "--in", str(path), "--patterns", "c3"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 2: {message}\n"
+
+
+def test_repeated_and_reversed_edges_collapse():
+    ds = read_dataset_lines(['{"n": 3, "edges": [[1, 2], [2, 3], [2, 1], [1, 2]]}'])
+    assert ds.graphs[0].edge_list == ((0, 1), (1, 2))
+    assert ds.graphs[0].m == 2
+
+
 def test_empty_input_rejected():
     with pytest.raises(InputError):
         read_dataset_lines([])

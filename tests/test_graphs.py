@@ -12,8 +12,7 @@ from motifdiff import graphs
 from motifdiff.errors import CapacityError, InputError
 from motifdiff.graphs import (Dataset, Graph, Pattern, _refine_colors,
                               _symmetry_search, automorphism_count,
-                              canonical_form, graph_from_edge_list,
-                              marked_canonical_form)
+                              canonical_form, marked_canonical_form)
 
 from conftest import (complete_graph, is_connected, make_random_graph,
                       packbits_key, permute_graph, src_env)
@@ -147,28 +146,6 @@ def test_graph_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != Graph.from_edges(3, [(0, 2)])
     assert a != "not a graph"
-
-
-def test_graph_from_edge_list_one_based():
-    g = graph_from_edge_list(3, [[1, 2], [2, 3], [2, 1]])
-    assert g.edge_list == ((0, 1), (1, 2))
-
-
-def test_graph_from_edge_list_rejects():
-    with pytest.raises(InputError):
-        graph_from_edge_list(0, [])
-    with pytest.raises(InputError):
-        graph_from_edge_list(True, [])
-    with pytest.raises(InputError):
-        graph_from_edge_list(3, [[1, 2, 3]])
-    with pytest.raises(InputError):
-        graph_from_edge_list(3, [[1, True]])
-    with pytest.raises(InputError):
-        graph_from_edge_list(3, [[0, 1]])
-    with pytest.raises(InputError):
-        graph_from_edge_list(3, [[1, 4]])
-    with pytest.raises(InputError):
-        graph_from_edge_list(3, [[2, 2]])
 
 
 def test_pattern_marks_validation():
@@ -318,9 +295,14 @@ def test_symmetry_search_refuses_past_its_signature_cap(monkeypatch):
     assert _symmetry_search(one_edge, (0,) * 1000)[2] == 2 * math.factorial(998)
 
 
-def test_automorphism_cap():
-    with pytest.raises(CapacityError):
-        automorphism_count(Graph(np.zeros((13, 13), dtype=np.uint8)))
+def test_automorphism_count_is_bounded_by_signatures_alone(monkeypatch):
+    # no node cap: 13 isolated nodes are one twin class that refines at once,
+    # and a 13-node cycle is refused only by the signature cap
+    assert automorphism_count(Graph.from_edges(13, [])) == math.factorial(13)
+    assert automorphism_count(cycle(13)) == 26
+    monkeypatch.setattr(graphs, "SYMMETRY_SIGNATURE_CAP", 1000)
+    with pytest.raises(CapacityError, match="refinement signatures"):
+        automorphism_count(cycle(13))
 
 
 def test_canonical_form_of_large_sparse_host_returns():
