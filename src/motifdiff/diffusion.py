@@ -10,12 +10,14 @@ posterior-mean, no learned network anywhere.
 
 The same score has a truncated-series form organized around inner-product
 powers. Both are implemented on a shared template table: the deduplicated
-permuted-adjacency rows with multiplicities. The rows are bit-packed into
-big-endian 64-bit words, whose order is the rows' lexicographic order, and
-deduplicated by one ``np.lexsort`` over the word columns, so the table is
-the one ``np.unique(rows, axis=0)`` would give. A table whose float64 form
-would pass ``FLOAT_TABLE_BYTES_CAP`` is kept as its 0/1 bytes, which einsum
-casts to float64 exactly. ``verify_basis_expansion``
+permuted-adjacency rows with multiplicities. The rows are gathered one
+block of permutations at a time and bit-packed into big-endian 64-bit
+words, whose order is the rows' lexicographic order. The words are made
+native in place and deduplicated by one in-place sort when a row fits one
+word, or by one ``np.lexsort`` over the word columns when it does not, so
+the table is the one ``np.unique(rows, axis=0)`` would give. A table whose
+float64 form would pass ``FLOAT_TABLE_BYTES_CAP`` is kept as its 0/1
+bytes, which einsum casts to float64 exactly. ``verify_basis_expansion``
 checks the algebraic identity behind the series form against the
 graph-polynomial module, one term per set partition of the index positions.
 
@@ -160,18 +162,24 @@ class ScoreOracle:
 
     Precomputes the deduplicated table of permuted training adjacencies
     (upper-triangle rows with multiplicities, in lexicographic row order).
-    One flat index (permutation x edge slot into a raveled adjacency) gathers
-    each graph's permuted 0/1 rows, which are packed into zero-padded
-    big-endian 64-bit words, ceil(E/64) per row. ``np.lexsort`` over the
-    word columns sorts the rows; the first row of each run is a template,
-    the run lengths are its count, and the words are unpacked back to rows.
+    The P permutations are taken in n blocks of ceil(P/n), on the
+    exhaustive table one head's (n-1)! rows. Per block, one flat index
+    (permutation x edge slot into a raveled adjacency) gathers each graph's
+    permuted 0/1 rows, which are packed into the block's slice of one key
+    buffer: zero-padded big-endian 64-bit words, ceil(E/64) per row. The
+    words are byte-swapped to native order in place; one-word keys (E <= 64,
+    so n <= 11) are sorted in place, wider ones by ``np.lexsort`` over the
+    word columns. The first row of each run is a template, the run lengths
+    are its count, and the words are unpacked back to rows. Beside the
+    table, the build holds the permutations, the keys and one block's index.
     The table is those 0/1 bytes, converted to float64 only while that copy
     fits ``FLOAT_TABLE_BYTES_CAP``: a table that outgrows the cache streams
     8x fewer bytes per step as bytes, and one that stays in cache is faster
-    without einsum's cast. The gather, the keys and the byte table are each
-    held under ``ORACLE_BYTES_CAP``, and Monte Carlo draws under
-    ``MC_SAMPLES_CAP`` (``CapacityError`` past either). Everything else is a
-    small amount of arithmetic per query against that table.
+    without einsum's cast. The gather (charged for a whole-table index, an
+    upper bound), the keys and the byte table are each held under
+    ``ORACLE_BYTES_CAP``, and Monte Carlo draws under ``MC_SAMPLES_CAP``
+    (``CapacityError`` past either). Everything else is a small amount of
+    arithmetic per query against that table.
     """
 
     def __init__(self, dataset: Dataset, n: int, cfg: ScoreConfig | None = None,
@@ -196,7 +204,9 @@ class ScoreOracle:
         num_perms = factorial(n) if policy == "exhaustive" else self.cfg.mc_samples
         iu, ju = np.triu_indices(n, 1)
         slots = int(iu.size)
-        # intp permutations and flat gather index, plus one graph's uint8 rows
+        # intp permutations and flat gather index, plus one graph's uint8
+        # rows; the gather holds one block's index, so the whole one is an
+        # upper bound, kept so that what is refused does not move
         _check_oracle_bytes(num_perms * (8 * n + 9 * slots),
                             "the permutations and gather")
         if policy == "monte_carlo" and num_perms > MC_SAMPLES_CAP:
@@ -209,25 +219,37 @@ class ScoreOracle:
             rng = np.random.default_rng(self.cfg.seed)
             perms = np.array([rng.permutation(n) for _ in range(self.cfg.mc_samples)],
                              dtype=np.intp)
-        # row p, slot (i, j) reads adj[perm[i], perm[j]], at perm[i]*n + perm[j]
-        # of the raveled adjacency; summed column by column, as a whole-array
-        # sum would allocate (and free) a second index-sized array
-        flat = perms[:, iu]
-        flat *= n
-        for s, j in enumerate(ju):
-            flat[:, s] += perms[:, j]
         packed = -(-slots // 8)
         words = max(1, -(-packed // 8))  # n=1 still needs a key word
         total = len(graphs) * num_perms
         _check_oracle_bytes(total * 8 * words, "the row keys")
         keys = np.zeros((total, 8 * words), dtype=np.uint8)
-        for i, g in enumerate(graphs):
-            rows = g.adj.ravel()[flat]
-            keys[i * num_perms:(i + 1) * num_perms, :packed] = np.packbits(rows, axis=1)
-        del perms, flat, rows
-        # big-endian, zero-padded words: word order is the rows' order
-        keys = keys.view(">u8").astype(np.uint64)
-        keys = keys[np.lexsort(keys.T[::-1])]
+        # n blocks of permutations, so one block's gather index is held at a
+        # time; on the exhaustive table, a block is one head's (n-1)! rows
+        block = -(-num_perms // n)
+        for lo in range(0, num_perms, block):
+            part = perms[lo:lo + block]
+            # row p, slot (i, j) reads adj[perm[i], perm[j]], at
+            # perm[i]*n + perm[j] of the raveled adjacency; summed column by
+            # column, as a whole-array sum would allocate a second index
+            flat = part[:, iu]
+            flat *= n
+            for s, j in enumerate(ju):
+                flat[:, s] += part[:, j]
+            for i, g in enumerate(graphs):
+                at = i * num_perms + lo
+                keys[at:at + len(part), :packed] = np.packbits(
+                    g.adj.ravel()[flat], axis=1)
+        del perms, part, flat
+        # big-endian, zero-padded words, whose order is the rows' order,
+        # swapped in place to little-endian values (native uint64 on x86 and
+        # ARM); a one-word key is sorted in place, as equal keys are
+        # identical rows, and wider keys by lexsort over the word columns
+        keys = keys.view(">u8").byteswap(inplace=True).view("<u8")
+        if words == 1:
+            keys.sort(axis=0)
+        else:
+            keys = keys[np.lexsort(keys.T[::-1])]
         starts = np.flatnonzero(np.concatenate(
             ([True], np.any(keys[1:] != keys[:-1], axis=1))))
         _check_oracle_bytes(starts.size * slots, "the template table")
@@ -444,8 +466,8 @@ class ScoreOracle:
 # series-identity verification
 
 
-VERIFY_NODE_CAP = 4
-VERIFY_ORDER_CAP = 3
+VERIFY_NODE_CAP = 6
+VERIFY_ORDER_CAP = 4
 
 
 @dataclass(frozen=True, eq=False)

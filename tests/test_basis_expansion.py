@@ -41,11 +41,15 @@ def test_order_zero_scalar_side_is_one():
 def test_caps_and_input_errors():
     ds = dataset(3, 1, 0)
     W = random_symmetric(3, np.random.default_rng(0))
+    # at the caps (n = 6, k = 4) the identity is checked; one past, refused
+    W6 = random_symmetric(6, np.random.default_rng(0))
+    assert verify_basis_expansion(W6, 1, dataset(6, 1, 0)).max_discrepancy <= 1e-9
+    assert verify_basis_expansion(W, 4, ds).max_discrepancy <= 1e-9
     with pytest.raises(CapacityError):
-        verify_basis_expansion(random_symmetric(5, np.random.default_rng(0)),
-                               1, dataset(5, 1, 0))
+        verify_basis_expansion(random_symmetric(7, np.random.default_rng(0)),
+                               1, dataset(7, 1, 0))
     with pytest.raises(CapacityError):
-        verify_basis_expansion(W, 4, ds)
+        verify_basis_expansion(W, 5, ds)
     with pytest.raises(InputError):
         verify_basis_expansion(W, -1, ds)
     with pytest.raises(InputError):

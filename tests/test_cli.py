@@ -461,12 +461,12 @@ def test_verify_past_assignment_cap_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("suite, refusal", [
     ("count-identity", "injective assignments"),
     ("equivariance", "capped at 6-node patterns"),
-    ("basis", "capped at n<=4"),
+    ("basis", "capped at n<=6"),
 ])
 def test_verify_refuses_a_large_n_before_drawing(suite, refusal, tmp_path,
                                                  capsys, monkeypatch):
     # --n 100000 would draw arrays of tens of GB; every n past the caps
-    # (12 for count-identity, 6 for equivariance, 4 for basis) must be
+    # (12 for count-identity, 6 for equivariance, 6 for basis) must be
     # refused first
     from motifdiff import verification
 

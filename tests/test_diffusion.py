@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from motifdiff.diffusion import (NoiseSchedule, ScoreConfig, ScoreOracle,
                                  upper_vector, validate_symmetric)
 from motifdiff.errors import (CapacityError, InputError, NumericalRegimeError,
                               SeriesDivergenceError)
-from motifdiff.graphs import Dataset, Graph
+from motifdiff.graphs import (Dataset, Graph, automorphism_count,
+                              canonical_form)
 
 from conftest import complete_graph, make_random_graph
 
@@ -197,6 +199,15 @@ def table_cases():
     # sample-wide's size: 40,320 permutations, 28 slots in one key word
     yield pytest.param(8, (make_random_graph(8, 0.4, rng), star_graph(8)), EXH,
                        id="exhaustive-n8")
+    # the build gathers n blocks of ceil(draws / n) permutations: draws not
+    # divisible by n leave a short last block (37 = 4 x 9 + 1 at n = 9,
+    # 1,001 = 11 x 84 + 77 at n = 12, on the two-word lexsort path), and
+    # n = 11's 55 slots are the widest key sorted in place as one word
+    for n, draws in ((9, 37), (11, 500), (12, 1001)):
+        graphs = tuple(make_random_graph(n, 0.4, rng) for _ in range(2))
+        cfg = ScoreConfig(perm_policy="monte_carlo", mc_samples=draws, seed=n)
+        yield pytest.param(n, graphs + (star_graph(n),), cfg,
+                           id=f"monte-carlo-n{n}-{draws}")
 
 
 @pytest.mark.parametrize("n,graphs,cfg", list(table_cases()))
@@ -211,6 +222,34 @@ def test_oracle_table_matches_row_unique(n, graphs, cfg):
     assert oracle._log_total == log_total
     if n == 1:
         assert V.shape == (1, 0) and oracle._logmult[0] == math.log(len(graphs))
+
+
+def test_oracle_build_peak_memory():
+    # sample-wide's shape: 3 asymmetric 8-node classes x 2 labelings, so
+    # V = 3 x 8! = 120,960 templates, held as bytes. The build gathers its
+    # rows one block of permutations at a time and sorts its keys in place,
+    # so beyond what the oracle keeps it holds at most one row-key buffer;
+    # a whole-table gather index alone (8! x 28 slots of intp) is 9 MB
+    rng = np.random.default_rng(8)
+    classes: list = []
+    while len(classes) < 3:
+        g = make_random_graph(8, 0.4, rng)
+        if automorphism_count(g) == 1 and all(
+                canonical_form(g) != canonical_form(h)
+                for h in classes):
+            classes.append(g)
+    train = Dataset(graphs=tuple(
+        h for g in classes
+        for h in (g, Graph(permute_matrix(g.adj, rng.permutation(8))))))
+    keys = len(train.graphs) * math.factorial(8) * 8  # one word per row
+    tracemalloc.start()
+    try:
+        oracle = ScoreOracle(train, 8, cfg=EXH)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert oracle.num_templates == 120960 and oracle._V.dtype == np.uint8
+    assert peak <= held + keys, (peak, held, keys)
 
 
 def test_exhaustive_oracle_adds_nothing_to_the_monomial_cache():
