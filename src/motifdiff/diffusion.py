@@ -10,12 +10,13 @@ posterior-mean, no learned network anywhere.
 
 The same score has a truncated-series form organized around inner-product
 powers. Both are implemented on a shared template table: the deduplicated
-permuted-adjacency rows with multiplicities. The rows are gathered one
-block of permutations at a time and bit-packed into big-endian 64-bit
-words, whose order is the rows' lexicographic order. The words are made
-native in place and deduplicated by one in-place sort when a row fits one
-word, or by one ``np.lexsort`` over the word columns when it does not, so
-the table is the one ``np.unique(rows, axis=0)`` would give. A table whose
+permuted-adjacency rows with multiplicities. Each row is built as a key
+from the graph's edges alone: through the inverse permutation, one edge
+sets one bit of the row's zero-padded big-endian packing, read as native
+64-bit words, whose order is the rows' lexicographic order. The keys are
+deduplicated by one in-place sort when a row fits one word, or by one
+``np.lexsort`` over the word columns when it does not, so the table is the
+one ``np.unique(rows, axis=0)`` would give. A table whose
 float64 form would pass ``FLOAT_TABLE_BYTES_CAP`` is kept as its 0/1
 bytes, which einsum casts to float64 exactly. ``verify_basis_expansion``
 checks the algebraic identity behind the series form against the
@@ -162,24 +163,26 @@ class ScoreOracle:
 
     Precomputes the deduplicated table of permuted training adjacencies
     (upper-triangle rows with multiplicities, in lexicographic row order).
-    The P permutations are taken in n blocks of ceil(P/n), on the
-    exhaustive table one head's (n-1)! rows. Per block, one flat index
-    (permutation x edge slot into a raveled adjacency) gathers each graph's
-    permuted 0/1 rows, which are packed into the block's slice of one key
-    buffer: zero-padded big-endian 64-bit words, ceil(E/64) per row. The
-    words are byte-swapped to native order in place; one-word keys (E <= 64,
-    so n <= 11) are sorted in place, wider ones by ``np.lexsort`` over the
+    A row's key is ceil(E/64) 64-bit words, E the edge-slot count: the
+    row's zero-padded big-endian packing, read as native words. The P
+    permutations are inverted once, node-major, into the narrowest unsigned
+    dtype that holds a position; permutation p moves edge (a, b) to the
+    pair (inv_p(a), inv_p(b)), so each graph's P keys are the OR of one
+    precomputed bit per edge, gathered through an intp index of that pair
+    (the adjacency itself is never read). One-word keys (E <= 64, so
+    n <= 11) are sorted in place, wider ones by ``np.lexsort`` over the
     word columns. The first row of each run is a template, the run lengths
     are its count, and the words are unpacked back to rows. Beside the
-    table, the build holds the permutations, the keys and one block's index.
-    The table is those 0/1 bytes, converted to float64 only while that copy
-    fits ``FLOAT_TABLE_BYTES_CAP``: a table that outgrows the cache streams
-    8x fewer bytes per step as bytes, and one that stays in cache is faster
-    without einsum's cast. The gather (charged for a whole-table index, an
-    upper bound), the keys and the byte table are each held under
-    ``ORACLE_BYTES_CAP``, and Monte Carlo draws under ``MC_SAMPLES_CAP``
-    (``CapacityError`` past either). Everything else is a small amount of
-    arithmetic per query against that table.
+    table, the build holds the permutations, their inverse, the keys and
+    one edge's index and bits. The table is those 0/1 bytes, converted to
+    float64 only while that copy fits ``FLOAT_TABLE_BYTES_CAP``: a table
+    that outgrows the cache streams 8x fewer bytes per step as bytes, and
+    one that stays in cache is faster without einsum's cast. The
+    permutations with their inverse and index (charged as a whole-table
+    gather of every slot, an upper bound), the keys and the byte table are
+    each held under ``ORACLE_BYTES_CAP``, and Monte Carlo draws under
+    ``MC_SAMPLES_CAP`` (``CapacityError`` past either). Everything else is
+    a small amount of arithmetic per query against that table.
     """
 
     def __init__(self, dataset: Dataset, n: int, cfg: ScoreConfig | None = None,
@@ -204,9 +207,10 @@ class ScoreOracle:
         num_perms = factorial(n) if policy == "exhaustive" else self.cfg.mc_samples
         iu, ju = np.triu_indices(n, 1)
         slots = int(iu.size)
-        # intp permutations and flat gather index, plus one graph's uint8
-        # rows; the gather holds one block's index, so the whole one is an
-        # upper bound, kept so that what is refused does not move
+        # the permutations, their inverse and one edge's index, charged as
+        # intp permutations plus a whole-table gather of every slot: an
+        # upper bound from n = 3 on, kept so that what is refused does not
+        # move
         _check_oracle_bytes(num_perms * (8 * n + 9 * slots),
                             "the permutations and gather")
         if policy == "monte_carlo" and num_perms > MC_SAMPLES_CAP:
@@ -219,33 +223,44 @@ class ScoreOracle:
             rng = np.random.default_rng(self.cfg.seed)
             perms = np.array([rng.permutation(n) for _ in range(self.cfg.mc_samples)],
                              dtype=np.intp)
-        packed = -(-slots // 8)
-        words = max(1, -(-packed // 8))  # n=1 still needs a key word
+        # inv[v, p] is node v's position under permutation p
+        rows = np.arange(num_perms)
+        inv = np.empty((n, num_perms), dtype=np.min_scalar_type(n - 1))
+        for pos in range(n):
+            inv[perms[:, pos], rows] = pos
+        # slot s of the pair (i, j), at i*n + j, is bit 63 - s % 64 of word
+        # s // 64: the zero-padded big-endian packed row read as native
+        # words, whose order is the rows' lexicographic order
+        slot = np.zeros((n, n), dtype=np.intp)
+        slot[iu, ju] = slot[ju, iu] = np.arange(slots)
+        slot = slot.ravel()
+        word = slot // 64
+        bit = np.left_shift(np.ones(n * n, dtype=np.uint64),
+                            (63 - slot % 64).astype(np.uint64))
+        words = max(1, -(-slots // 64))  # n=1 still needs a key word
         total = len(graphs) * num_perms
         _check_oracle_bytes(total * 8 * words, "the row keys")
-        keys = np.zeros((total, 8 * words), dtype=np.uint8)
-        # n blocks of permutations, so one block's gather index is held at a
-        # time; on the exhaustive table, a block is one head's (n-1)! rows
-        block = -(-num_perms // n)
-        for lo in range(0, num_perms, block):
-            part = perms[lo:lo + block]
-            # row p, slot (i, j) reads adj[perm[i], perm[j]], at
-            # perm[i]*n + perm[j] of the raveled adjacency; summed column by
-            # column, as a whole-array sum would allocate a second index
-            flat = part[:, iu]
-            flat *= n
-            for s, j in enumerate(ju):
-                flat[:, s] += part[:, j]
-            for i, g in enumerate(graphs):
-                at = i * num_perms + lo
-                keys[at:at + len(part), :packed] = np.packbits(
-                    g.adj.ravel()[flat], axis=1)
-        del perms, part, flat
-        # big-endian, zero-padded words, whose order is the rows' order,
-        # swapped in place to little-endian values (native uint64 on x86 and
-        # ARM); a one-word key is sorted in place, as equal keys are
-        # identical rows, and wider keys by lexsort over the word columns
-        keys = keys.view(">u8").byteswap(inplace=True).view("<u8")
+        keys = np.zeros((total, words), dtype=np.uint64)
+        idx = np.empty(num_perms, dtype=np.intp)
+        rows *= words  # row p's first word in one graph's raveled keys
+        for i, g in enumerate(graphs):
+            flat = keys[i * num_perms:(i + 1) * num_perms].reshape(-1)
+            # permutation p moves edge (a, b) to the pair (inv_p(a), inv_p(b));
+            # intp, as inv's narrow dtype would wrap a position times n
+            for a, b in g.edge_list:
+                np.multiply(inv[a], n, out=idx, dtype=np.intp)
+                np.add(idx, inv[b], out=idx)
+                if words == 1:
+                    flat |= bit[idx]
+                else:
+                    at = word[idx]
+                    at += rows
+                    flat[at] |= bit[idx]
+        # freed together after the keys, whose allocation the free of the
+        # permutations would otherwise move onto the heap
+        del perms, inv, rows, idx, flat
+        # a one-word key is sorted in place, as equal keys are identical
+        # rows, and wider keys by lexsort over the word columns
         if words == 1:
             keys.sort(axis=0)
         else:

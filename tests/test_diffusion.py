@@ -199,15 +199,21 @@ def table_cases():
     # sample-wide's size: 40,320 permutations, 28 slots in one key word
     yield pytest.param(8, (make_random_graph(8, 0.4, rng), star_graph(8)), EXH,
                        id="exhaustive-n8")
-    # the build gathers n blocks of ceil(draws / n) permutations: draws not
-    # divisible by n leave a short last block (37 = 4 x 9 + 1 at n = 9,
-    # 1,001 = 11 x 84 + 77 at n = 12, on the two-word lexsort path), and
-    # n = 11's 55 slots are the widest key sorted in place as one word
-    for n, draws in ((9, 37), (11, 500), (12, 1001)):
+    # the build sets one key bit per edge through the inverse permutations,
+    # which only Monte Carlo draws tell apart from the permutations (S_n is
+    # closed under inversion); n = 11's 55 slots are the widest key sorted
+    # in place as one word, n = 12 is on the two-word lexsort path, n = 17
+    # (136 slots, three words) is the first n at which a position times n
+    # passes 255, and the sparse n = 30 has 435 slots in seven words
+    for n, draws in ((9, 37), (11, 500), (12, 1001), (17, 300)):
         graphs = tuple(make_random_graph(n, 0.4, rng) for _ in range(2))
         cfg = ScoreConfig(perm_policy="monte_carlo", mc_samples=draws, seed=n)
         yield pytest.param(n, graphs + (star_graph(n),), cfg,
                            id=f"monte-carlo-n{n}-{draws}")
+    graphs = tuple(make_random_graph(30, 0.1, rng) for _ in range(2))
+    cfg = ScoreConfig(perm_policy="monte_carlo", mc_samples=200, seed=30)
+    yield pytest.param(30, graphs + (star_graph(30),), cfg,
+                       id="monte-carlo-n30-200-sparse")
 
 
 @pytest.mark.parametrize("n,graphs,cfg", list(table_cases()))
@@ -226,10 +232,12 @@ def test_oracle_table_matches_row_unique(n, graphs, cfg):
 
 def test_oracle_build_peak_memory():
     # sample-wide's shape: 3 asymmetric 8-node classes x 2 labelings, so
-    # V = 3 x 8! = 120,960 templates, held as bytes. The build gathers its
-    # rows one block of permutations at a time and sorts its keys in place,
-    # so beyond what the oracle keeps it holds at most one row-key buffer;
-    # a whole-table gather index alone (8! x 28 slots of intp) is 9 MB
+    # V = 3 x 8! = 120,960 templates, held as bytes. The build sets its
+    # row keys from the edges through a one-byte inverse of the
+    # permutations, one edge's intp index at a time, and sorts the keys in
+    # place, so beyond what the oracle keeps it holds at most one row-key
+    # buffer; a whole-table gather index alone (8! x 28 slots of intp)
+    # would be 9 MB
     rng = np.random.default_rng(8)
     classes: list = []
     while len(classes) < 3:
