@@ -92,21 +92,14 @@ def cmd_gen_data(args) -> int:
 
 
 def _sample_share(oracle, args, share: range):
-    """One share of the samples, stepped as one batch: (graph, trajectory or
-    None) per sample. Sample idx draws from its own stream [seed, idx]; the
-    generators are made here, in the worker, as numpy.random loaded in the
-    parent would add about 5 MB to its RSS."""
-    import numpy as np
-
-    rngs = [np.random.default_rng([args.seed, idx]) for idx in share]
+    """One share of the samples: (graph, its (t, W) states or None) per
+    sample. It runs in the worker, where `reverse_sample` loads numpy.random,
+    which would add about 5 MB to the parent's RSS."""
     traj: list | None = [] if args.trajectories is not None else None
-    graphs = oracle.reverse_sample(args.steps, score_mode=args.score,
-                                   rngs=rngs, threshold=args.threshold,
+    graphs = oracle.reverse_sample(args.steps, share, args.score,
+                                   threshold=args.threshold,
                                    trajectories=traj)
-    if traj is None:
-        return [(g, None) for g in graphs]
-    return [(g, [(float(t), W.tolist()) for t, W in states])
-            for g, states in zip(graphs, traj)]
+    return list(zip(graphs, traj or [None] * len(graphs)))
 
 
 # the sample flags echoed, as str(value), into the output's metadata line
@@ -125,8 +118,7 @@ def cmd_sample(args) -> int:
                           t_min=args.t_min, t_max=args.t_max)
     cfg = ScoreConfig(perm_policy=args.perm_policy,
                       mc_samples=args.mc_samples, seed=args.seed,
-                      truncation_k=args.series_k,
-                      series_ratio_max=args.series_ratio_max)
+                      truncation_k=args.series_k)
     _check_sampling(args.steps, args.score, args.threshold)
     n = args.n
     if n is None:
@@ -144,9 +136,9 @@ def cmd_sample(args) -> int:
     write_dataset(Dataset(graphs=graphs, metadata=metadata), args.out)
     if args.trajectories is not None:
         with open(args.trajectories, "w", encoding="utf-8") as fh:
-            for idx, (_, packed) in enumerate(results):
-                for t, W in packed:
-                    line = {"sample": idx, "t": t, "W": W}
+            for idx, (_, states) in enumerate(results):
+                for t, W in states:
+                    line = {"sample": idx, "t": float(t), "W": W.tolist()}
                     validate_output(line, TRAJECTORY_LINE)
                     fh.write(json.dumps(line, sort_keys=True) + "\n")
     print(f"wrote {len(graphs)} sample(s) to {args.out}", file=sys.stderr)
@@ -254,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--mc-samples", type=int, default=ScoreConfig.mc_samples)
     p_sample.add_argument("--series-k", type=int, default=ScoreConfig.truncation_k,
                           help="series truncation order (series mode)")
-    p_sample.add_argument("--series-ratio-max", type=float,
-                          default=ScoreConfig.series_ratio_max)
     p_sample.add_argument("--threshold", type=float, default=0.5)
     p_sample.add_argument("--trajectories", default=None,
                           help="optional JSONL path for per-step states")
@@ -289,10 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_output_dirs(args) -> None:
-    """Refuse an output path in a missing directory before doing any work."""
-    for path in (getattr(args, "out", None), getattr(args, "trajectories", None)):
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+    """Refuse, before any work, an output path that is a directory or in a
+    missing one, and one file named by both --out and --trajectories."""
+    paths = [getattr(args, flag, None) for flag in ("out", "trajectories")]
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise InputError(f"output path {path} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise InputError(f"output directory of {path} does not exist")
+    if all(paths) and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+        raise InputError(f"--out and --trajectories both name {paths[1]}")
 
 
 def main(argv=None) -> int:

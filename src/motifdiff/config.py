@@ -56,15 +56,13 @@ class ScoreConfig:
     perm_policy: "exhaustive" enumerates all n! permutations (n <= 8),
     "monte_carlo" draws mc_samples uniform permutations from `seed`,
     "auto" picks exhaustive when affordable. truncation_k is the series
-    order; series_ratio_max bounds the largest exponent argument the series
-    mode will accept before declaring itself out of its convergent regime.
+    order.
     """
 
     perm_policy: str = "auto"
     mc_samples: int = 10000
     seed: int = 0
     truncation_k: int = 12
-    series_ratio_max: float = 3.0
 
     def __post_init__(self):
         if self.perm_policy not in ("auto", "exhaustive", "monte_carlo"):
@@ -75,5 +73,3 @@ class ScoreConfig:
             raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.truncation_k < 0:
             raise InputError("truncation_k must be non-negative")
-        if not (self.series_ratio_max > 0):
-            raise InputError("series_ratio_max must be positive")

@@ -46,6 +46,9 @@ from .polynomials import (_expansion_terms, _injective_assignments,
 # the posterior weights degenerate; refuse rather than return garbage.
 BETA_FLOOR = 1e-6
 
+# Past this exponent argument (alpha/beta^2)<template, w> the series diverges.
+SERIES_RATIO_MAX = 3.0
+
 EXHAUSTIVE_PERM_CAP = 8
 
 # Largest single array the oracle build may allocate, in bytes.
@@ -338,13 +341,13 @@ class ScoreOracle:
         b2 = beta * beta
         x, ratios = self._series_argument(w, alpha, beta)
         failure = None
-        over = np.flatnonzero(ratios > self.cfg.series_ratio_max)
+        over = np.flatnonzero(ratios > SERIES_RATIO_MAX)
         if over.size:
             row = int(over[0])
             ratio = float(ratios[row])
             failure = (row, SeriesDivergenceError(
                 f"series argument ratio {ratio:.3g} exceeds"
-                f" {self.cfg.series_ratio_max}; truncation would diverge",
+                f" {SERIES_RATIO_MAX}; truncation would diverge",
                 ratio=ratio))
             w, x = w[:row], x[:row]
         # multiplicity times the self-energy weight, shifted for stability
@@ -405,30 +408,31 @@ class ScoreOracle:
         return float(self._series_argument(
             upper_vector(self._check_matrix(W)), alpha, beta)[1])
 
-    def reverse_sample(self, steps: int, score_mode: str = "direct",
-                       rngs=None, *, threshold: float = 0.5,
+    def reverse_sample(self, steps: int, samples, score_mode: str = "direct",
+                       *, threshold: float = 0.5,
                        trajectories: list | None = None) -> list[Graph]:
         """Integrate the reverse-time SDE from t_max to t_min and quantize,
-        one sample per generator in `rngs` (default: one, from the config
-        seed).
+        one graph per index in the sequence `samples`; sample idx draws from
+        its own stream, ``default_rng([cfg.seed, idx])``.
 
         Euler-Maruyama on a uniform grid, score evaluated at the left
         endpoint of each step. The samples are stepped together, in batches
-        whose (samples x templates) float64 arrays fit ``BATCH_BYTES_CAP``;
-        each draws from its own generator, and its bits are those it would
-        have alone. `trajectories`, if given, is extended by one list per
-        sample of (t, full matrix) states including the final one. A series
-        divergence raises the error of the lowest-index diverging sample.
+        whose (samples x templates) float64 arrays fit ``BATCH_BYTES_CAP``,
+        and each sample's bits are those it would have alone. `trajectories`,
+        if given, is extended by one list per sample of (t, full matrix)
+        states including the final one. A series divergence raises the error
+        of the lowest-index diverging sample.
         """
         _check_sampling(steps, score_mode, threshold)
-        if rngs is None:
-            rngs = [np.random.default_rng(self.cfg.seed)]
+        if min(samples, default=0) < 0:
+            raise InputError("sample indices must be non-negative")
         rows = max(1, BATCH_BYTES_CAP // (8 * self.num_templates))
         graphs = []
-        for start in range(0, len(rngs), rows):
-            batch = rngs[start:start + rows]
-            states = [[] for _ in batch] if trajectories is not None else None
-            w, failure = self._integrate(steps, score_mode, batch, states)
+        for start in range(0, len(samples), rows):
+            rngs = [np.random.default_rng([self.cfg.seed, idx])
+                    for idx in samples[start:start + rows]]
+            states = [[] for _ in rngs] if trajectories is not None else None
+            w, failure = self._integrate(steps, score_mode, rngs, states)
             if failure is not None:
                 raise failure[1]
             graphs += [quantize(symmetric_from_upper(row, self.n), threshold)

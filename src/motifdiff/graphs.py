@@ -49,12 +49,13 @@ class Graph:
     def __init__(self, adjacency) -> None:
         import numpy as np
 
-        adj = np.ascontiguousarray(adjacency, dtype=np.uint8)
+        adj = np.asarray(adjacency)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise InputError("adjacency must be a square matrix")
         n = int(adj.shape[0])
-        if np.any(adj > 1):
+        if not np.all((adj == 0) | (adj == 1)):  # the cast wraps 256 to 0
             raise InputError("adjacency entries must be 0 or 1")
+        adj = np.ascontiguousarray(adj, dtype=np.uint8)
         if not np.array_equal(adj, adj.T):
             raise InputError("adjacency must be symmetric")
         if n and np.any(np.diagonal(adj)):

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from motifdiff import diffusion, graphs
@@ -85,6 +84,36 @@ def test_out_in_missing_directory_exits_2_before_work(train_path, tmp_path,
     err = capsys.readouterr().err
     assert "error: output directory" in err
     assert "counted" not in err  # refused before counting
+
+
+def _no_oracle(self, *args, **kwargs):
+    raise AssertionError("the oracle was built before the input was checked")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trajectories"])
+def test_sample_output_that_is_a_directory_exits_2_before_work(
+        flag, train_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ScoreOracle, "__init__", _no_oracle)
+    paths = {"--out": str(tmp_path / "g.jsonl"),
+             "--trajectories": str(tmp_path / "traj.jsonl")}
+    paths[flag] = str(tmp_path)
+    assert run(["sample", "--train", train_path, "--num-samples", "2",
+                "--steps", "10", "--threads", "1",
+                "--out", paths["--out"],
+                "--trajectories", paths["--trajectories"]]) == 2
+    assert capsys.readouterr().err == f"error: output path {tmp_path} is a directory\n"
+
+
+def test_sample_out_and_trajectories_on_one_file_exit_2_before_work(
+        train_path, tmp_path, capsys, monkeypatch):
+    # the trajectory lines would overwrite the samples the run reports
+    monkeypatch.setattr(ScoreOracle, "__init__", _no_oracle)
+    out = tmp_path / "g.jsonl"
+    assert run(["sample", "--train", train_path, "--num-samples", "2",
+                "--steps", "10", "--threads", "1", "--out", str(out),
+                "--trajectories", str(tmp_path / "." / "g.jsonl")]) == 2
+    assert "error: --out and --trajectories both name" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_data_deterministic_bytes(tmp_path):
@@ -179,9 +208,7 @@ def test_sample_batches_match_one_sample_calls(train_path, tmp_path):
     graphs, lines = [], []
     for idx in range(5):
         trajectories = []
-        graphs += oracle.reverse_sample(
-            12, rngs=[np.random.default_rng([5, idx])],
-            trajectories=trajectories)
+        graphs += oracle.reverse_sample(12, [idx], trajectories=trajectories)
         lines += [json.dumps({"sample": idx, "t": t, "W": W.tolist()},
                              sort_keys=True) + "\n"
                   for t, W in trajectories[0]]
@@ -216,18 +243,17 @@ def test_sample_divergence_reports_the_lowest_failing_sample(train_path,
     # workers the map's shares (0-2, 3-6 and 0-1, 2-3, 4-6) put sample 2 in
     # the first failing share, whose error the map raises
     oracle = ScoreOracle(read_dataset(train_path), 4,
+                         cfg=ScoreConfig(seed=25),
                          sched=NoiseSchedule(t_min=0.3))
     failing = {}
     for idx in range(7):
         try:
-            oracle.reverse_sample(20, "series",
-                                  rngs=[np.random.default_rng([25, idx])])
+            oracle.reverse_sample(20, [idx], "series")
         except SeriesDivergenceError as exc:
             failing[idx] = str(exc)
     assert sorted(failing) == [2, 4, 6]
     with pytest.raises(SeriesDivergenceError) as err:
-        oracle.reverse_sample(20, "series", rngs=[
-            np.random.default_rng([25, idx]) for idx in range(7)])
+        oracle.reverse_sample(20, range(7), "series")
     assert str(err.value) == failing[2]
     out = tmp_path / "g.jsonl"
     for threads in ("1", "2", "3"):
@@ -247,10 +273,7 @@ def test_sample_divergence_reports_the_lowest_failing_sample(train_path,
 def test_sample_refuses_flags_before_the_oracle_build(flag, value, message,
                                                       train_path, tmp_path,
                                                       capsys, monkeypatch):
-    def never(self, *args, **kwargs):
-        raise AssertionError("the oracle was built before the flags were checked")
-
-    monkeypatch.setattr(ScoreOracle, "__init__", never)
+    monkeypatch.setattr(ScoreOracle, "__init__", _no_oracle)
     out = tmp_path / "g.jsonl"
     assert run(["sample", "--train", train_path, "--num-samples", "2",
                 "--threads", "1", flag, value, "--out", str(out)]) == 2
@@ -285,7 +308,8 @@ def test_sample_requires_n_for_mixed_sizes(tmp_path):
     assert rc == 0
 
 
-def test_sample_series_divergence_exits_cleanly(train_path, tmp_path, capsys):
+def test_sample_series_divergence_exits_cleanly(train_path, tmp_path, capsys,
+                                               monkeypatch):
     out = str(tmp_path / "g.jsonl")
     # beyond its convergent regime the series mode must fail loudly
     rc = run(["sample", "--train", train_path, "--num-samples", "1",
@@ -294,9 +318,10 @@ def test_sample_series_divergence_exits_cleanly(train_path, tmp_path, capsys):
     assert rc == 2
     assert "ratio" in capsys.readouterr().err
     # a tiny ratio cap trips on the very first step, deterministically
+    monkeypatch.setattr(diffusion, "SERIES_RATIO_MAX", 1e-9)
     rc = run(["sample", "--train", train_path, "--num-samples", "1",
-              "--steps", "10", "--score", "series", "--series-ratio-max",
-              "1e-9", "--seed", "0", "--threads", "1", "--out", out])
+              "--steps", "10", "--score", "series", "--seed", "0",
+              "--threads", "1", "--out", out])
     assert rc == 2
 
 
@@ -618,7 +643,5 @@ def test_sample_defaults_are_the_dataclass_defaults():
     sched, cfg = NoiseSchedule(), ScoreConfig()
     assert (args.beta_min, args.beta_max, args.t_min, args.t_max) == (
         sched.beta_min, sched.beta_max, sched.t_min, sched.t_max)
-    assert (args.perm_policy, args.mc_samples, args.seed, args.series_k,
-            args.series_ratio_max) == (cfg.perm_policy, cfg.mc_samples,
-                                       cfg.seed, cfg.truncation_k,
-                                       cfg.series_ratio_max)
+    assert (args.perm_policy, args.mc_samples, args.seed, args.series_k) == (
+        cfg.perm_policy, cfg.mc_samples, cfg.seed, cfg.truncation_k)

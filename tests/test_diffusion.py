@@ -1,5 +1,6 @@
 """Noise schedule, exact-score oracle, series score, reverse sampler."""
 
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -128,7 +129,8 @@ def test_score_config_validation():
         ScoreConfig(mc_samples=0)
     with pytest.raises(InputError):
         ScoreConfig(truncation_k=-1)
-    with pytest.raises(InputError):
+    # the series gate is the module constant SERIES_RATIO_MAX, not a knob
+    with pytest.raises(TypeError):
         ScoreConfig(series_ratio_max=0.0)
     with pytest.raises(InputError, match="seed must be non-negative"):
         ScoreConfig(seed=-1)
@@ -519,13 +521,12 @@ def test_batched_rows_on_the_byte_table(byte_table):
 
 
 def test_reverse_sample_batches_match_single_samples(monkeypatch):
-    oracle = ScoreOracle(small_dataset(5, 3, 2), 5, cfg=EXH)
+    oracle = ScoreOracle(small_dataset(5, 3, 2), 5,
+                         cfg=ScoreConfig(perm_policy="exhaustive", seed=3))
 
     def sample(indices):
         trajectories = []
-        graphs = oracle.reverse_sample(
-            15, rngs=[np.random.default_rng([3, i]) for i in indices],
-            trajectories=trajectories)
+        graphs = oracle.reverse_sample(15, indices, trajectories=trajectories)
         return graphs, [[(t, W.tobytes()) for t, W in states]
                         for states in trajectories]
 
@@ -591,7 +592,7 @@ def test_series_divergence_raises_with_ratio():
     with pytest.raises(SeriesDivergenceError) as err:
         oracle.score_series(W, 1e-3, order=12)
     assert err.value.ratio is not None
-    assert err.value.ratio > oracle.cfg.series_ratio_max
+    assert err.value.ratio > diffusion.SERIES_RATIO_MAX
     assert oracle.series_ratio(W, 1e-3) == pytest.approx(err.value.ratio)
 
 
@@ -624,22 +625,25 @@ def test_reverse_sample_contracts():
     ds = small_dataset(4, 2, 0)
     oracle = ScoreOracle(ds, 4, cfg=EXH)
     with pytest.raises(InputError):
-        oracle.reverse_sample(9)
+        oracle.reverse_sample(9, [0])
     with pytest.raises(InputError):
-        oracle.reverse_sample(20, score_mode="guess")
+        oracle.reverse_sample(20, [0], score_mode="guess")
     # no entry exceeds nan or inf, so either would quantize to no edges
     for threshold in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(InputError, match="threshold"):
-            oracle.reverse_sample(20, threshold=threshold)
+            oracle.reverse_sample(20, [0], threshold=threshold)
+    # a sample's stream is [seed, idx], which needs idx >= 0
+    with pytest.raises(InputError, match="sample indices"):
+        oracle.reverse_sample(20, [0, -1])
+    assert "rngs" not in inspect.signature(ScoreOracle.reverse_sample).parameters
 
 
 def test_reverse_sample_determinism_and_trajectory():
     ds = small_dataset(4, 2, 0)
-    oracle = ScoreOracle(ds, 4, cfg=EXH)
+    oracle = ScoreOracle(ds, 4, cfg=ScoreConfig(perm_policy="exhaustive", seed=3))
     trajectories = []
-    (g1,) = oracle.reverse_sample(12, rngs=[np.random.default_rng(3)],
-                                  trajectories=trajectories)
-    (g2,) = oracle.reverse_sample(12, rngs=[np.random.default_rng(3)])
+    (g1,) = oracle.reverse_sample(12, [0], trajectories=trajectories)
+    (g2,) = oracle.reverse_sample(12, [0])
     (traj,) = trajectories
     assert g1 == g2
     assert g1.n == 4
@@ -651,5 +655,5 @@ def test_reverse_sample_determinism_and_trajectory():
     for _, W in traj:
         assert W.shape == (4, 4)
         assert np.array_equal(W, W.T)
-    # omitted rng falls back to the config seed, deterministically
-    assert oracle.reverse_sample(12) == oracle.reverse_sample(12)
+    # each sample's stream comes from the config seed, deterministically
+    assert oracle.reverse_sample(12, range(3)) == oracle.reverse_sample(12, range(3))

@@ -43,6 +43,13 @@ def test_adjacency_validation():
         Graph(loop)
 
 
+@pytest.mark.parametrize("entry", [256, 0.5, 1.9, 257, -255, float("nan")])
+def test_adjacency_entries_are_checked_before_the_uint8_cast(entry):
+    # cast first, 256 and 0.5 would read as no edge, 1.9, 257 and -255 as one
+    with pytest.raises(InputError, match="entries must be 0 or 1"):
+        Graph([[0, entry], [entry, 0]])
+
+
 def test_from_edges_bounds():
     with pytest.raises(InputError):
         Graph.from_edges(3, [(0, 3)])

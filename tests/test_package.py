@@ -4,8 +4,10 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import motifdiff
+from motifdiff.cli import main
 
 from conftest import src_env
 
@@ -116,3 +118,21 @@ def test_count_and_eval_run_without_numpy(tmp_path):
                           capture_output=True, text=True, timeout=120,
                           env=blocked)
     assert done.returncode != 0 and "numpy is not installed" in done.stderr
+
+
+def test_readme_library_use_runs_and_matches_the_cli(tmp_path, capsys):
+    # the block README shows under "Library use", run as written; its
+    # samples are those `motifdiff sample` draws from the same set
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    (printed,) = capsys.readouterr().out.splitlines()
+    assert printed == repr(scope["report"].per_pattern["c4"].tv)
+    train, gen = tmp_path / "train.jsonl", tmp_path / "gen.jsonl"
+    assert main(["gen-data", "--pattern", "c4", "--n", "5", "--count", "50",
+                 "--seed", "0", "--out", str(train)]) == 0
+    assert main(["sample", "--train", str(train), "--num-samples", "100",
+                 "--seed", "1", "--threads", "2", "--out", str(gen)]) == 0
+    assert motifdiff.read_dataset(gen).graphs == tuple(scope["samples"])
