@@ -18,14 +18,12 @@ with no constraints. Injective map counts use the walk as it is. Subgraph
 counting compiles the pattern once into a plan that adds constraints
 host(v) < host(u) for each u in v's orbit under the automorphisms fixing
 the nodes before v (after Grochow & Kellis, RECOMB 2007), so the search
-meets each subgraph once. The orbits come from a chain of color
-refinements, one more node of the order individualized at each step. A
-cell contains the orbit, and the orbit sizes multiply to |Aut|
-(orbit-stabilizer), so cells whose sizes multiply to |Aut| are orbits.
-Otherwise (regular patterns such as C3 plus a disjoint C4) the chain is
-rebuilt from true orbits: u is in v's orbit when the symmetry search finds
+meets each subgraph once. A chain of color refinements, one more node of
+the order individualized at each step until the coloring is discrete,
+proposes v's cell; u in it is in v's orbit when the symmetry search finds
 the same encoding with u or with v individualized (after McKay & Piperno,
-"Practical graph isomorphism, II").
+"Practical graph isomorphism, II"). The check: by orbit-stabilizer, the
+orbit sizes multiply to |Aut|.
 """
 
 from __future__ import annotations
@@ -76,34 +74,35 @@ def _walk(p: Pattern) -> _Plan:
 
 
 def _compile(p: Pattern) -> _Plan:
-    """Plan for counting `p`: the walk plus the symmetry-breaking constraints
-    of its orbit chain, from refined cells if they certify, else from orbits."""
+    """Plan for counting `p`, its kernel built: the walk plus, per level,
+    host(v) < host(u) for each u of v's refined cell whose symmetry search
+    with u individualized finds v's key."""
     g = p.graph
-    aut = automorphism_count(g)
     walk = _walk(p)
     position = {v: i for i, v in enumerate(walk.order)}
-    for exact in (False, True):
-        smaller: list[list[int]] = [[] for _ in walk.order]
-        colors = _refine_colors(g.n, g.neighbor_lists, [0] * g.n)
-        product = 1
-        for i, v in enumerate(walk.order):
-            if len(set(colors)) == g.n:
-                break
-            # earlier nodes are individualized, so the rest of the cell is later
-            cell = [u for u in range(g.n) if colors[u] == colors[v]]
-            if exact:
-                # canonical colors, leaves sorted by color: same key, same orbit
-                key = _symmetry_search(g, _individualize(colors, v))[1]
-                cell = [u for u in cell if u == v or key
-                        == _symmetry_search(g, _individualize(colors, u))[1]]
-            product *= len(cell)
-            for u in cell:
-                if u != v:
-                    smaller[position[u]].append(i)
-            colors = _refine_colors(g.n, g.neighbor_lists, _individualize(colors, v))
-        if product == aut:
-            return replace(walk, smaller_positions=tuple(map(tuple, smaller)))
-    raise ContractError(f"orbit sizes multiply to {product}, not |Aut| = {aut}")
+    smaller: list[list[int]] = [[] for _ in walk.order]
+    colors = _refine_colors(g.n, g.neighbor_lists, [0] * g.n)
+    product = 1
+    for i, v in enumerate(walk.order):
+        if len(set(colors)) == g.n:
+            break
+        # earlier nodes are individualized, so the rest of the cell is later
+        rest = [u for u in range(g.n) if u != v and colors[u] == colors[v]]
+        if rest:
+            # canonical colors, leaves sorted by color: same key, same orbit
+            key = _symmetry_search(g, _individualize(colors, v))[1]
+            rest = [u for u in rest
+                    if key == _symmetry_search(g, _individualize(colors, u))[1]]
+        product *= 1 + len(rest)
+        for u in rest:
+            smaller[position[u]].append(i)
+        colors = _refine_colors(g.n, g.neighbor_lists, _individualize(colors, v))
+    aut = automorphism_count(g)
+    if product != aut:
+        raise ContractError(f"orbit sizes multiply to {product}, not |Aut| = {aut}")
+    plan = replace(walk, smaller_positions=tuple(map(tuple, smaller)))
+    _kernel(plan.prev_positions, plan.smaller_positions)
+    return plan
 
 
 @cache
@@ -252,9 +251,7 @@ def count_table(graphs: Sequence[Graph], patterns: Sequence[Pattern],
     """
     if not graphs:
         raise InputError("no graphs to count")
-    plans = [_compile(p) for p in patterns]
-    for plan in plans:  # built here, the workers inherit them
-        _kernel(plan.prev_positions, plan.smaller_positions)
+    plans = [_compile(p) for p in patterns]  # kernels too: workers inherit them
 
     def share_rows(share: Sequence[Graph]) -> list[list[int]]:
         return [[count_subgraphs(g, plan.pattern, plan) for plan in plans]

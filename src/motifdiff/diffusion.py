@@ -181,9 +181,8 @@ class ScoreOracle:
     float64 only while that copy fits ``FLOAT_TABLE_BYTES_CAP``: a table
     that outgrows the cache streams 8x fewer bytes per step as bytes, and
     one that stays in cache is faster without einsum's cast. The
-    permutations with their inverse and index (charged as a whole-table
-    gather of every slot, an upper bound), the keys and the byte table are
-    each held under ``ORACLE_BYTES_CAP``, and Monte Carlo draws under
+    permutations with what is built from them, the keys and the byte table
+    are each held under ``ORACLE_BYTES_CAP``, and Monte Carlo draws under
     ``MC_SAMPLES_CAP`` (``CapacityError`` past either). Everything else is
     a small amount of arithmetic per query against that table.
     """
@@ -210,12 +209,13 @@ class ScoreOracle:
         num_perms = factorial(n) if policy == "exhaustive" else self.cfg.mc_samples
         iu, ju = np.triu_indices(n, 1)
         slots = int(iu.size)
-        # the permutations, their inverse and one edge's index, charged as
-        # intp permutations plus a whole-table gather of every slot: an
-        # upper bound from n = 3 on, kept so that what is refused does not
-        # move
-        _check_oracle_bytes(num_perms * (8 * n + 9 * slots),
-                            "the permutations and gather")
+        inv_dtype = np.min_scalar_type(n - 1)
+        # held beside the keys: the intp permutations (and the Monte Carlo
+        # draws they are stacked from), their inverse, five vectors of 8
+        # bytes a permutation and the n x n slot, word and bit tables
+        per_node = (16 if policy == "monte_carlo" else 8) + inv_dtype.itemsize
+        _check_oracle_bytes(num_perms * (per_node * n + 40) + 24 * n * n,
+                            "the permutations and their inverse")
         if policy == "monte_carlo" and num_perms > MC_SAMPLES_CAP:
             raise CapacityError(
                 f"score oracle: {num_perms} Monte Carlo permutations are over"
@@ -228,7 +228,7 @@ class ScoreOracle:
                              dtype=np.intp)
         # inv[v, p] is node v's position under permutation p
         rows = np.arange(num_perms)
-        inv = np.empty((n, num_perms), dtype=np.min_scalar_type(n - 1))
+        inv = np.empty((n, num_perms), dtype=inv_dtype)
         for pos in range(n):
             inv[perms[:, pos], rows] = pos
         # slot s of the pair (i, j), at i*n + j, is bit 63 - s % 64 of word

@@ -49,7 +49,10 @@ class Graph:
     def __init__(self, adjacency) -> None:
         import numpy as np
 
-        adj = np.asarray(adjacency)
+        try:
+            adj = np.asarray(adjacency)
+        except ValueError as exc:  # ragged rows
+            raise InputError("adjacency must be a square matrix") from exc
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise InputError("adjacency must be a square matrix")
         n = int(adj.shape[0])

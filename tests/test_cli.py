@@ -571,11 +571,11 @@ def test_eval_past_symmetry_search_cap_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_sample_over_oracle_byte_cap_exits_2(tmp_path):
-    # a 400-node graph under the default 10,000 Monte Carlo permutations
-    # would gather 1.6 GB of permuted adjacencies; it must be refused
+    # 11 400-node graphs under the default 10,000 Monte Carlo permutations
+    # would key 110,000 rows of 1,247 words, 1.1 GB; it must be refused
     train = tmp_path / "big.jsonl"
     edges = [[v, v + 1] for v in range(1, 400)]
-    train.write_text(json.dumps({"n": 400, "edges": edges}) + "\n")
+    train.write_text((json.dumps({"n": 400, "edges": edges}) + "\n") * 11)
     out = tmp_path / "gen.jsonl"
     done = subprocess.run(
         [sys.executable, "-m", "motifdiff", "sample", "--train", str(train),

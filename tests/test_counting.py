@@ -63,7 +63,7 @@ def test_matcher_matches_oracle_on_random_graphs():
 
 
 def test_symmetry_broken_search_finds_each_subgraph_once():
-    # K4 holds 3 four-cycles; the certified plan meets each once, where the
+    # K4 holds 3 four-cycles; the compiled plan meets each once, where the
     # unconstrained search meets each of the 8 maps of every copy
     plan = _compile(get_pattern("c4"))
     assert any(plan.smaller_positions)
@@ -71,16 +71,20 @@ def test_symmetry_broken_search_finds_each_subgraph_once():
     assert count_injective_homs(complete_graph(4), get_pattern("c4")) == 24
 
 
-def test_uncertified_refinement_chain_is_cut_to_orbits(monkeypatch):
+def test_symmetry_search_cuts_refined_cells_to_orbits(monkeypatch):
     # C3 plus a disjoint C4 is regular, so refinement cannot tell the two
     # cycles' nodes apart and its cells multiply past |Aut| = 6 * 8: the
-    # chain is rebuilt from orbits the symmetry search finds
+    # symmetry search cuts them to orbits. It runs for c4 too, where the
+    # cells are already orbits: there is one orbit rule
     p = Pattern(Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5),
                                      (5, 6), (6, 3)]))
     searches = []
     real_search = counting._symmetry_search
     monkeypatch.setattr(counting, "_symmetry_search",
                         lambda *a: searches.append(a) or real_search(*a))
+    _compile(get_pattern("c4"))
+    assert searches
+    searches.clear()
     plan = _compile(p)
     assert searches
     assert any(plan.smaller_positions)

@@ -4,12 +4,14 @@ and `count_subgraphs`. The pattern set covers the symmetry-broken search on
 large groups (stars, disjoint copies, vertex-transitive graphs), including
 regular patterns whose orbits refinement cannot find (C3 plus a disjoint C4,
 C5 plus a disjoint C7, a cubic graph on 12 nodes), and every atlas graph on
-3-7 nodes."""
+3-7 nodes. The automorphisms GraphMatcher lists also witness the plans'
+orbits directly."""
 
 import numpy as np
 import pytest
 
-from motifdiff.counting import (_compile, count_injective_homs,
+from motifdiff import counting
+from motifdiff.counting import (_compile, _walk, count_injective_homs,
                                 count_subgraphs, count_table)
 from motifdiff.graphs import Graph, Pattern, automorphism_count
 from motifdiff.patterns import PATTERN_LIBRARY
@@ -101,7 +103,7 @@ def test_count_subgraphs_matches_networkx(hosts, reference):
         assert [count_subgraphs(g, p) for g in hosts] == expected, p.name
 
 
-def test_library_chains_are_certified():
+def test_library_plans_are_symmetry_broken():
     # every plan is symmetry-broken, so eval counts each subgraph once: it
     # has constraints exactly when the pattern has symmetry, C3 plus C4 too
     for p in PATTERNS:
@@ -109,9 +111,13 @@ def test_library_chains_are_certified():
         assert any(plan.smaller_positions) == (automorphism_count(p.graph) > 1), p.name
 
 
-def test_atlas_patterns_compile_to_certified_plans():
-    # the 1,244 atlas graphs on 3-7 nodes with an edge; refinement alone
-    # leaves C3 plus C4 and its complement to the orbit pass
+def test_atlas_patterns_compile_to_symmetry_broken_plans(monkeypatch):
+    # the 1,244 atlas graphs on 3-7 nodes with an edge; the symmetry search
+    # runs for a pattern exactly when it has symmetry
+    searches = []
+    real_search = counting._symmetry_search
+    monkeypatch.setattr(counting, "_symmetry_search",
+                        lambda *a: searches.append(a) or real_search(*a))
     rng = np.random.default_rng(1244)
     hosts = [make_random_graph(8, 0.4, rng), make_random_graph(9, 0.4, rng)]
     patterns = nonzero = 0
@@ -120,7 +126,9 @@ def test_atlas_patterns_compile_to_certified_plans():
             continue
         p = Pattern(from_nx(h))
         aut = automorphism_count(p.graph)
+        searches.clear()
         plan = _compile(p)
+        assert bool(searches) == (aut > 1), h.edges
         assert any(plan.smaller_positions) == (aut > 1), h.edges
         for g in hosts:
             found = count_subgraphs(g, p, plan)
@@ -130,6 +138,30 @@ def test_atlas_patterns_compile_to_certified_plans():
     assert patterns == 1244
     # a witness that only ever agrees on 0 shows nothing
     assert nonzero > patterns // 2
+
+
+def orbit_constraints(p):
+    """`smaller_positions` from networkx's automorphisms: along the walk,
+    each node's orbit under those fixing the nodes before it."""
+    h = to_nx(p.graph)
+    stabilizer = list(GraphMatcher(h, h).isomorphisms_iter())
+    order = _walk(p).order
+    smaller = [[] for _ in order]
+    for i, v in enumerate(order):
+        for u in {a[v] for a in stabilizer} - {v}:
+            smaller[order.index(u)].append(i)
+        stabilizer = [a for a in stabilizer if a[v] == v]
+    return tuple(map(tuple, smaller))
+
+
+def test_plans_take_their_orbits_from_the_automorphisms():
+    # the 209 atlas graphs on up to 6 nodes, and C3 plus C4, whose cells
+    # refinement leaves larger than its orbits
+    patterns = [Pattern(from_nx(h)) for h in nx.graph_atlas_g()
+                if h.number_of_nodes() <= 6] + [Pattern(from_nx(EXTRA["C3_C4"]))]
+    assert len(patterns) == 210
+    for p in patterns:
+        assert _compile(p).smaller_positions == orbit_constraints(p), p.graph.edge_list
 
 
 # a cubic graph on 12 nodes (|Aut| = 32) that refinement leaves as one cell

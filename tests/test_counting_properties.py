@@ -42,8 +42,8 @@ def sparse_graphs(draw, max_n=30):
     return Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
 
 
-# library patterns plus arbitrary small ones; every pattern on up to 6
-# nodes is certified by refinement alone, and the orbit pass has its own tests
+# library patterns plus arbitrary small ones; the orbits of every pattern on
+# up to 6 nodes are checked against networkx's automorphisms on their own
 patterns = st.one_of(st.sampled_from(SMALL_LIBRARY),
                      graphs(max_n=6).map(Pattern))
 

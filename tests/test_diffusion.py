@@ -337,15 +337,17 @@ def test_log_sum_exp_of_a_non_finite_maximum_is_that_maximum():
 
 def test_oracle_byte_cap(monkeypatch):
     # 50 random 9-node graphs under 20 Monte Carlo permutations, whose 1,000
-    # rows of 36 slots are all distinct: 20 x (8 x 9 + 9 x 36) = 7,920
-    # bytes of permutations, flat index and rows; 1,000 one-word keys x 8 =
+    # rows of 36 slots are all distinct: 20 x ((8 + 8 + 1) x 9 + 40) +
+    # 24 x 81 = 5,804 bytes of draws, permutations, one-byte inverse, five
+    # per-permutation vectors and slot tables; 1,000 one-word keys x 8 =
     # 8,000 bytes; 1,000 templates x 36 slots = 36,000 bytes of 0/1 table
     rng = np.random.default_rng(9)
     wide = Dataset(graphs=tuple(make_random_graph(9, 0.5, rng)
                                 for _ in range(50)))
     twenty = ScoreConfig(perm_policy="monte_carlo", mc_samples=20)
-    for cap, what in ((7919, "gather"), (7920, "row keys"), (7999, "row keys"),
-                      (8000, "template table"), (35999, "template table")):
+    for cap, what in ((5803, "permutations"), (5804, "row keys"),
+                      (7999, "row keys"), (8000, "template table"),
+                      (35999, "template table")):
         monkeypatch.setattr(diffusion, "ORACLE_BYTES_CAP", cap)
         with pytest.raises(CapacityError, match=what):
             ScoreOracle(wide, 9, cfg=twenty)
@@ -359,13 +361,14 @@ def test_oracle_byte_cap(monkeypatch):
                [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)],
                [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]]
     every = Dataset(graphs=tuple(Graph.from_edges(4, e) for e in classes))
-    # the flat index and one graph's rows of 1.5e7 permutations fit
-    # (1.5e7 x 54 bytes), but not with the 1.5e7 x 4 x 8 bytes of
-    # permutations beside them; refused before the Monte Carlo cap
+    # at the shipped cap, 4 nodes charge 108 bytes a draw plus 384: up to
+    # 9,942,050 draws fit, and only the Monte Carlo cap refuses them; one
+    # more is refused by its bytes first. Neither draws a permutation
     monkeypatch.setattr(diffusion, "ORACLE_BYTES_CAP", 2**30)
-    many = ScoreConfig(perm_policy="monte_carlo", mc_samples=15 * 10**6)
-    with pytest.raises(CapacityError, match="gather"):
-        ScoreOracle(every, 4, cfg=many)
+    for draws, what in ((9942050, "Monte Carlo"), (9942051, "permutations")):
+        many = ScoreConfig(perm_policy="monte_carlo", mc_samples=draws)
+        with pytest.raises(CapacityError, match=what):
+            ScoreOracle(every, 4, cfg=many)
 
 
 def test_oracle_mc_samples_cap(monkeypatch):

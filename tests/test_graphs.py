@@ -43,6 +43,13 @@ def test_adjacency_validation():
         Graph(loop)
 
 
+@pytest.mark.parametrize("rows", [[[0, 1], [1]], [[0, 1], [1, 0, 0]]])
+def test_ragged_adjacency_is_an_input_error(rows):
+    # numpy refuses the inhomogeneous shape with its own ValueError
+    with pytest.raises(InputError, match="square matrix"):
+        Graph(rows)
+
+
 @pytest.mark.parametrize("entry", [256, 0.5, 1.9, 257, -255, float("nan")])
 def test_adjacency_entries_are_checked_before_the_uint8_cast(entry):
     # cast first, 256 and 0.5 would read as no edge, 1.9, 257 and -255 as one
