@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_threads(p):
-        p.add_argument("--threads", type=int, default=_default_threads(),
+        p.add_argument("--threads", type=int, default=None,
                        help="worker processes (default: MOTIFDIFF_THREADS or"
                             " all cores); never affects output bytes")
 
@@ -295,12 +295,11 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
+        # count, eval and sample read MOTIFDIFF_THREADS only when it is used
+        if getattr(args, "threads", 0) is None:
+            args.threads = _default_threads()
         _check_output_dirs(args)
         return args.func(args)
     except (MotifdiffError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

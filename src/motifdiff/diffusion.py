@@ -210,10 +210,10 @@ class ScoreOracle:
         iu, ju = np.triu_indices(n, 1)
         slots = int(iu.size)
         inv_dtype = np.min_scalar_type(n - 1)
-        # held beside the keys: the intp permutations (and the Monte Carlo
-        # draws they are stacked from), their inverse, five vectors of 8
-        # bytes a permutation and the n x n slot, word and bit tables
-        per_node = (16 if policy == "monte_carlo" else 8) + inv_dtype.itemsize
+        # held beside the keys: the intp permutations, their inverse, five
+        # vectors of 8 bytes a permutation and the n x n slot, word and bit
+        # tables
+        per_node = 8 + inv_dtype.itemsize
         _check_oracle_bytes(num_perms * (per_node * n + 40) + 24 * n * n,
                             "the permutations and their inverse")
         if policy == "monte_carlo" and num_perms > MC_SAMPLES_CAP:
@@ -224,8 +224,12 @@ class ScoreOracle:
             perms = _injective_assignments(n, n)
         else:
             rng = np.random.default_rng(self.cfg.seed)
-            perms = np.array([rng.permutation(n) for _ in range(self.cfg.mc_samples)],
-                             dtype=np.intp)
+            # rng.permutation(n) shuffles a fresh np.arange(n); each row is
+            # that arange, shuffled in place: the same draws, no array each
+            perms = np.empty((num_perms, n), dtype=np.intp)
+            perms[:] = np.arange(n)
+            for row in perms:
+                rng.shuffle(row)
         # inv[v, p] is node v's position under permutation p
         rows = np.arange(num_perms)
         inv = np.empty((n, num_perms), dtype=inv_dtype)

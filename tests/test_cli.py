@@ -517,13 +517,27 @@ def test_verify_unknown_suite_is_a_usage_error():
         run(["verify", "--suite", "everything"])
 
 
-def test_default_threads_env(monkeypatch):
+def test_default_threads_env(monkeypatch, train_path, tmp_path, capsys):
     monkeypatch.setenv("MOTIFDIFF_THREADS", "3")
     assert _default_threads() == 3
     monkeypatch.setenv("MOTIFDIFF_THREADS", "0")
     assert _default_threads() == 1
+    # a bad value is refused only where it is read: by count, eval and
+    # sample without --threads
     monkeypatch.setenv("MOTIFDIFF_THREADS", "banana")
-    assert run(["verify", "--suite", "basis", "--n", "3"]) == 2
+    assert run(["count", "--in", train_path, "--patterns", "c3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: MOTIFDIFF_THREADS='banana' is not an integer\n")
+    assert run(["count", "--in", train_path, "--patterns", "c3",
+                "--threads", "4", "--out", str(tmp_path / "c.json")]) == 0
+    assert run(["gen-data", "--pattern", "c3", "--n", "4", "--count", "2",
+                "--out", str(tmp_path / "g.jsonl")]) == 0
+    assert run(["verify", "--suite", "basis", "--n", "3",
+                "--out", str(tmp_path / "v.json")]) == 0
+    with pytest.raises(SystemExit) as help_exit:
+        run(["--help"])
+    assert help_exit.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: motifdiff")
 
 
 def test_stdout_emission(train_path, capsys):

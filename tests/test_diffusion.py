@@ -262,6 +262,27 @@ def test_oracle_build_peak_memory():
     assert peak <= held + keys, (peak, held, keys)
 
 
+def test_monte_carlo_build_peak_memory():
+    # the draws fill one (draws, n) intp array, so the build's peak stays
+    # within what the byte cap charges it (permutations, inverse, five
+    # vectors a permutation, slot tables) plus the keys; a Python list of
+    # one ndarray a draw would more than double it
+    n, draws = 9, 20000
+    star = Dataset(graphs=(star_graph(n),))
+    cfg = ScoreConfig(perm_policy="monte_carlo", mc_samples=draws, seed=3)
+    charged = draws * ((8 + 1) * n + 40) + 24 * n * n
+    keys = draws * 8  # one word per row
+    np.random.default_rng(0)  # numpy.random loaded before the trace
+    tracemalloc.start()
+    try:
+        oracle = ScoreOracle(star, n, cfg=cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert oracle.num_templates == n
+    assert peak <= charged + keys, (peak, charged, keys)
+
+
 def test_exhaustive_oracle_adds_nothing_to_the_monomial_cache():
     # the oracle builds its permutation table uncached, so the 8! table of a
     # sample-wide run is freed with the build
@@ -337,15 +358,15 @@ def test_log_sum_exp_of_a_non_finite_maximum_is_that_maximum():
 
 def test_oracle_byte_cap(monkeypatch):
     # 50 random 9-node graphs under 20 Monte Carlo permutations, whose 1,000
-    # rows of 36 slots are all distinct: 20 x ((8 + 8 + 1) x 9 + 40) +
-    # 24 x 81 = 5,804 bytes of draws, permutations, one-byte inverse, five
-    # per-permutation vectors and slot tables; 1,000 one-word keys x 8 =
-    # 8,000 bytes; 1,000 templates x 36 slots = 36,000 bytes of 0/1 table
+    # rows of 36 slots are all distinct: 20 x ((8 + 1) x 9 + 40) + 24 x 81
+    # = 4,364 bytes of permutations, one-byte inverse, five per-permutation
+    # vectors and slot tables; 1,000 one-word keys x 8 = 8,000 bytes;
+    # 1,000 templates x 36 slots = 36,000 bytes of 0/1 table
     rng = np.random.default_rng(9)
     wide = Dataset(graphs=tuple(make_random_graph(9, 0.5, rng)
                                 for _ in range(50)))
     twenty = ScoreConfig(perm_policy="monte_carlo", mc_samples=20)
-    for cap, what in ((5803, "permutations"), (5804, "row keys"),
+    for cap, what in ((4363, "permutations"), (4364, "row keys"),
                       (7999, "row keys"), (8000, "template table"),
                       (35999, "template table")):
         monkeypatch.setattr(diffusion, "ORACLE_BYTES_CAP", cap)
@@ -361,11 +382,12 @@ def test_oracle_byte_cap(monkeypatch):
                [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)],
                [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]]
     every = Dataset(graphs=tuple(Graph.from_edges(4, e) for e in classes))
-    # at the shipped cap, 4 nodes charge 108 bytes a draw plus 384: up to
-    # 9,942,050 draws fit, and only the Monte Carlo cap refuses them; one
-    # more is refused by its bytes first. Neither draws a permutation
+    # at the shipped cap, 4 nodes charge (8 + 1) x 4 + 40 = 76 bytes a draw
+    # plus 384: up to 14,128,176 draws fit, and only the Monte Carlo cap
+    # refuses them; one more is refused by its bytes first. Neither draws a
+    # permutation
     monkeypatch.setattr(diffusion, "ORACLE_BYTES_CAP", 2**30)
-    for draws, what in ((9942050, "Monte Carlo"), (9942051, "permutations")):
+    for draws, what in ((14128176, "Monte Carlo"), (14128177, "permutations")):
         many = ScoreConfig(perm_policy="monte_carlo", mc_samples=draws)
         with pytest.raises(CapacityError, match=what):
             ScoreOracle(every, 4, cfg=many)
