@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 # the numpy-backed names, imported on first use: counting and evaluation
 # never load numpy
-_LAZY = {**dict.fromkeys(("BasisExpansionReport", "ScoreOracle", "perturb", "quantize",
+_LAZY = {**dict.fromkeys(("BasisExpansionReport", "ScoreOracle", "quantize",
                           "verify_basis_expansion"), "diffusion"),
          **dict.fromkeys(("equivariant_basis", "invariant_basis", "monomial_sum",
                           "pinned_monomial_matrix"), "polynomials")}
@@ -46,7 +46,7 @@ __all__ = [
     "equivariant_basis", "evaluate", "get_pattern",
     "invariant_basis", "marked_canonical_form", "monomial_sum",
     "novelty_ratio",
-    "perturb", "pinned_monomial_matrix", "plant_pattern_dataset", "quantize",
+    "pinned_monomial_matrix", "plant_pattern_dataset", "quantize",
     "read_dataset", "resolve_patterns", "tv_distance",
     "verify_basis_expansion", "write_dataset",
 ]

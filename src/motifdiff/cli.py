@@ -14,7 +14,7 @@ import os
 import sys
 
 from .config import SUITE_NAMES, NoiseSchedule, ScoreConfig
-from .counting import CountDistribution, count_table
+from .counting import CountDistribution, _compile, count_table
 from .dataio import read_dataset, write_dataset
 from .datagen import DECORATIONS, plant_pattern_dataset
 from .errors import InputError, MotifdiffError
@@ -34,6 +34,13 @@ def _default_threads() -> int:
         except ValueError:
             raise InputError(f"MOTIFDIFF_THREADS={env!r} is not an integer") from None
     return os.cpu_count() or 1
+
+
+def _note(line: str) -> None:
+    """A human line: to stderr, or nowhere when stderr is closed (``print``
+    would send it to stdout, mixed into a report)."""
+    if sys.stderr is not None:
+        print(line, file=sys.stderr)
 
 
 def _emit(obj, out_path: str | None) -> None:
@@ -73,8 +80,7 @@ def cmd_count(args) -> int:
         }
     validate_output(report, COUNT_REPORT)
     _emit(report, args.out)
-    print(f"counted {len(patterns)} pattern(s) over {len(ds)} graph(s)",
-          file=sys.stderr)
+    _note(f"counted {len(patterns)} pattern(s) over {len(ds)} graph(s)")
     return 0
 
 
@@ -86,8 +92,7 @@ def cmd_gen_data(args) -> int:
                                monitors=monitors,
                                max_retries=args.max_retries)
     write_dataset(ds, args.out)
-    print(f"wrote {len(ds)} graph(s) with one {pattern.name} each to {args.out}",
-          file=sys.stderr)
+    _note(f"wrote {len(ds)} graph(s) with one {pattern.name} each to {args.out}")
     return 0
 
 
@@ -141,7 +146,7 @@ def cmd_sample(args) -> int:
                     line = {"sample": idx, "t": float(t), "W": W.tolist()}
                     validate_output(line, TRAJECTORY_LINE)
                     fh.write(json.dumps(line, sort_keys=True) + "\n")
-    print(f"wrote {len(graphs)} sample(s) to {args.out}", file=sys.stderr)
+    _note(f"wrote {len(graphs)} sample(s) to {args.out}")
     return 0
 
 
@@ -158,8 +163,8 @@ def cmd_eval(args) -> int:
     validate_output(payload, EVAL_REPORT)
     _emit(payload, args.out)
     worst = max((pe["tv"] for pe in payload["patterns"].values()), default=0.0)
-    print(f"evaluated {len(patterns)} pattern(s); worst tv {worst:.4f};"
-          f" novelty {report.novelty:.4f}", file=sys.stderr)
+    _note(f"evaluated {len(patterns)} pattern(s); worst tv {worst:.4f};"
+          f" novelty {report.novelty:.4f}")
     return 0
 
 
@@ -175,9 +180,8 @@ def cmd_verify(args) -> int:
     _emit(report, args.out)
     for s in suites:
         status = "ok" if s["passed"] else "FAIL"
-        print(f"{s['suite']}: {status} ({s['checks']} checks,"
-              f" max error {s['max_error']:.3g}, tolerance {s['tolerance']:.3g})",
-              file=sys.stderr)
+        _note(f"{s['suite']}: {status} ({s['checks']} checks,"
+              f" max error {s['max_error']:.3g}, tolerance {s['tolerance']:.3g})")
     return 0 if report["passed"] else 1
 
 
@@ -278,10 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_output_dirs(args) -> None:
+def _check_outputs(args) -> None:
     """Refuse, before any work, an output path that is a directory or in a
-    missing one, and one file named by both --out and --trajectories."""
+    missing one, one file named by both --out and --trajectories, and a
+    report meant for a closed stdout."""
     paths = [getattr(args, flag, None) for flag in ("out", "trajectories")]
+    if paths[0] is None and sys.stdout is None:
+        raise InputError("stdout is closed; name a report file with --out")
     for path in filter(None, paths):
         if os.path.isdir(path):
             raise InputError(f"output path {path} is a directory")
@@ -292,14 +299,17 @@ def _check_output_dirs(args) -> None:
 
 
 def main(argv=None) -> int:
+    # a command compiles its patterns as its own process would, so calls
+    # in one process each do the same work
+    _compile.cache_clear()
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
         # count, eval and sample read MOTIFDIFF_THREADS only when it is used
         if getattr(args, "threads", 0) is None:
             args.threads = _default_threads()
-        _check_output_dirs(args)
+        _check_outputs(args)
         return args.func(args)
     except (MotifdiffError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 2

@@ -15,7 +15,7 @@ with the degree its pattern node needs, the free nodes, the neighbors of
 its placed neighbors' hosts and its order constraints; the last level is a
 popcount. A plan starts as a walk: a greedy order over the pattern's nodes,
 with no constraints. Injective map counts use the walk as it is. Subgraph
-counting compiles the pattern once into a plan that adds constraints
+counting compiles each pattern shape once into a plan that adds constraints
 host(v) < host(u) for each u in v's orbit under the automorphisms fixing
 the nodes before v (after Grochow & Kellis, RECOMB 2007), so the search
 meets each subgraph once. A chain of color refinements, one more node of
@@ -42,25 +42,24 @@ from .parallel import ordered_map
 class _Plan:
     """A pattern compiled for the matcher.
 
-    `order` holds the pattern's nodes; `prev_positions[i]` lists the
-    positions in `order` of the placed neighbors of `order[i]`, and
-    `smaller_positions[i]` the earlier positions whose host must be smaller
-    than its host.
+    `order` holds the pattern's nodes and `needs[i]` the degree of
+    `order[i]`; `prev_positions[i]` lists the positions in `order` of the
+    placed neighbors of `order[i]`, and `smaller_positions[i]` the earlier
+    positions whose host must be smaller than its host.
     """
 
-    pattern: Pattern
     order: tuple[int, ...]
+    needs: tuple[int, ...]
     prev_positions: tuple[tuple[int, ...], ...]
     smaller_positions: tuple[tuple[int, ...], ...]
 
 
-def _walk(p: Pattern) -> _Plan:
+def _walk(g: Graph) -> _Plan:
     """Unconstrained plan: a greedy order over the pattern's nodes.
 
     Nodes with more already-placed neighbors come first (their candidate
     sets are tighter), ties broken by degree then by index.
     """
-    g = p.graph
     placed: list[int] = []
     while len(placed) < g.n:
         placed.append(max(
@@ -70,15 +69,21 @@ def _walk(p: Pattern) -> _Plan:
     prev_positions = tuple(
         tuple(placed.index(u) for u in g.neighbor_lists[v] if u in placed[:i])
         for i, v in enumerate(placed))
-    return _Plan(p, tuple(placed), prev_positions, ((),) * g.n)
+    return _Plan(tuple(placed), tuple(g.degrees[v] for v in placed),
+                 prev_positions, ((),) * g.n)
 
 
-def _compile(p: Pattern) -> _Plan:
-    """Plan for counting `p`, its kernel built: the walk plus, per level,
-    host(v) < host(u) for each u of v's refined cell whose symmetry search
-    with u individualized finds v's key."""
-    g = p.graph
-    walk = _walk(p)
+@cache
+def _compile(g: Graph) -> _Plan:
+    """Plan for counting the pattern graph `g`, its kernel built: the walk
+    plus, per level, host(v) < host(u) for each u of v's refined cell whose
+    symmetry search with u individualized finds v's key.
+
+    Memoized by shape (a `Graph` compares by its edges), so the process
+    keeps one small plan per distinct pattern shape, of 12 nodes at most,
+    for its life; `cli.main` starts each command with none.
+    """
+    walk = _walk(g)
     position = {v: i for i, v in enumerate(walk.order)}
     smaller: list[list[int]] = [[] for _ in walk.order]
     colors = _refine_colors(g.n, g.neighbor_lists, [0] * g.n)
@@ -171,34 +176,26 @@ def _kernel(prev_positions: tuple[tuple[int, ...], ...],
 def _count_embeddings(g: Graph, plan: _Plan) -> int:
     """Number of injective edge-preserving maps of the plan's pattern into
     `g` that meet its constraints."""
-    if plan.pattern.k > g.n:
+    if len(plan.order) > g.n:
         return 0
     if not plan.order:
         return 1
-    pdeg = plan.pattern.graph.degrees
-    needs = [pdeg[v] for v in plan.order]
     fits = {need: sum(1 << u for u, d in enumerate(g.degrees) if d >= need)
-            for need in set(needs)}
+            for need in set(plan.needs)}
     kernel = _kernel(plan.prev_positions, plan.smaller_positions)
-    return kernel(g.neighbor_masks, -1, *[fits[need] for need in needs])
+    return kernel(g.neighbor_masks, -1, *[fits[need] for need in plan.needs])
 
 
 def count_injective_homs(g: Graph, p: Pattern) -> int:
     """Injective edge-preserving maps pattern -> host (labeled placements)."""
-    return _count_embeddings(g, _walk(p))
+    return _count_embeddings(g, _walk(p.graph))
 
 
-def count_subgraphs(g: Graph, p: Pattern, plan: _Plan | None = None) -> int:
+def count_subgraphs(g: Graph, p: Pattern) -> int:
     """Non-induced subgraph count: injective maps over |Aut(pattern)|, found
-    as the maps that meet the plan's symmetry-breaking constraints.
-
-    `plan` is `p` compiled by `_compile`; a caller counting one pattern in
-    many hosts passes it so the pattern is compiled once. Without one, the
-    pattern is compiled here.
-    """
-    if plan is None:
-        plan = _compile(p)
-    return _count_embeddings(g, plan)
+    as the maps that meet the plan's symmetry-breaking constraints. The plan
+    is compiled once per pattern shape."""
+    return _count_embeddings(g, _compile(p.graph))
 
 
 @dataclass(frozen=True)
@@ -245,17 +242,17 @@ def count_table(graphs: Sequence[Graph], patterns: Sequence[Pattern],
                 threads: int = 1) -> list[list[int]]:
     """Subgraph counts of every pattern in every graph, in one worker pool.
 
-    Each pattern is compiled once, here, and the plans go to the workers.
-    Returns one column per pattern (in pattern order) holding the per-graph
-    counts (in graph order).
+    Each pattern is compiled here, before the fork, so the workers inherit
+    its plan and kernel. Returns one column per pattern (in pattern order)
+    holding the per-graph counts (in graph order).
     """
     if not graphs:
         raise InputError("no graphs to count")
-    plans = [_compile(p) for p in patterns]  # kernels too: workers inherit them
+    for p in patterns:
+        _compile(p.graph)
 
     def share_rows(share: Sequence[Graph]) -> list[list[int]]:
-        return [[count_subgraphs(g, plan.pattern, plan) for plan in plans]
-                for g in share]
+        return [[count_subgraphs(g, p) for p in patterns] for g in share]
 
     rows = ordered_map(share_rows, graphs, threads=threads)
     return [list(column) for column in zip(*rows)]

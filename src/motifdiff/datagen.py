@@ -14,7 +14,7 @@ imports numpy.
 
 from __future__ import annotations
 
-from .counting import _compile, count_subgraphs
+from .counting import count_subgraphs
 from .dataio import HOST_NODE_CAP
 from .errors import CapacityError, GenerationError, InputError
 from .graphs import Dataset, Graph, Pattern
@@ -148,23 +148,19 @@ def plant_pattern_dataset(pattern: Pattern, n: int, count: int,
         raise InputError(f"unknown decoration {decoration!r}")
     if max_retries < 1:
         raise InputError("max_retries must be at least 1")
-    plan = _compile(pattern)
-    targets = []
-    for q in monitors:
-        q_plan = _compile(q)
-        targets.append((q, q_plan, count_subgraphs(pattern.graph, q, q_plan)))
+    targets = [(q, count_subgraphs(pattern.graph, q)) for q in monitors]
     graphs = []
     for idx in range(count):
         rng = _Stream([seed, idx])
         last_failure = "no attempt"
         for _ in range(max_retries):
             g = _place_and_decorate(pattern, n, decoration, rng)
-            got = count_subgraphs(g, pattern, plan)
+            got = count_subgraphs(g, pattern)
             if got != 1:
                 last_failure = f"{pattern.name or 'pattern'} count {got} != 1"
                 continue
-            for q, q_plan, want in targets:
-                got_q = count_subgraphs(g, q, q_plan)
+            for q, want in targets:
+                got_q = count_subgraphs(g, q)
                 if got_q != want:
                     last_failure = (f"monitor {q.name or 'pattern'} count"
                                     f" {got_q} != {want}")

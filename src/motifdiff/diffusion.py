@@ -142,13 +142,6 @@ def permute_matrix(W, perm) -> np.ndarray:
     return W[np.ix_(idx, idx)]
 
 
-def perturb(graph: Graph, t: float, sched: NoiseSchedule, rng) -> np.ndarray:
-    """Forward-process sample: alpha_t*A0 plus mirrored Gaussian edge noise."""
-    alpha, beta = sched.alpha_beta(t)
-    noise = random_symmetric(graph.n, rng)
-    return alpha * graph.adj.astype(np.float64) + beta * noise
-
-
 def quantize(W, threshold: float = 0.5) -> Graph:
     """Graph with an edge wherever the entry exceeds the threshold."""
     arr = validate_symmetric(W)

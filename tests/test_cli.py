@@ -7,12 +7,14 @@ import sys
 
 import pytest
 
-from motifdiff import diffusion, graphs
+from motifdiff import counting, diffusion, graphs
 from motifdiff.cli import _default_threads, build_parser, main
+from motifdiff.counting import count_subgraphs
 from motifdiff.dataio import read_dataset, write_dataset
 from motifdiff.diffusion import NoiseSchedule, ScoreConfig, ScoreOracle
 from motifdiff.errors import SeriesDivergenceError
 from motifdiff.graphs import Dataset, Graph
+from motifdiff.patterns import get_pattern
 
 from conftest import src_env
 
@@ -51,6 +53,26 @@ def test_count_error_paths(train_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert run(["count", "--in", train_path, "--patterns", " , "]) == 2
     assert run(["count", "--in", train_path, "--patterns", "c3,c3"]) == 2
+
+
+def test_each_command_compiles_its_patterns_once(train_path, tmp_path,
+                                                 monkeypatch):
+    # each in-process command starts with no plan and compiles each pattern
+    # once, as its own process would; the plans then outlive it for library
+    # calls
+    calls = []
+    real = counting.automorphism_count
+    monkeypatch.setattr(counting, "automorphism_count",
+                        lambda g: calls.append(g) or real(g))
+    names = ("c3", "c4", "l5")
+    for _ in range(2):
+        calls.clear()
+        assert run(["count", "--in", train_path, "--patterns", ",".join(names),
+                    "--threads", "1", "--out", str(tmp_path / "c.json")]) == 0
+        assert calls == [get_pattern(name).graph for name in names]
+    calls.clear()
+    assert count_subgraphs(Graph.from_edges(4, []), get_pattern("c4")) == 0
+    assert calls == []
 
 
 def test_count_missing_file_exits_2(tmp_path, capsys):

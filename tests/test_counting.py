@@ -65,9 +65,9 @@ def test_matcher_matches_oracle_on_random_graphs():
 def test_symmetry_broken_search_finds_each_subgraph_once():
     # K4 holds 3 four-cycles; the compiled plan meets each once, where the
     # unconstrained search meets each of the 8 maps of every copy
-    plan = _compile(get_pattern("c4"))
+    plan = _compile(get_pattern("c4").graph)
     assert any(plan.smaller_positions)
-    assert count_subgraphs(complete_graph(4), get_pattern("c4"), plan) == 3
+    assert count_subgraphs(complete_graph(4), get_pattern("c4")) == 3
     assert count_injective_homs(complete_graph(4), get_pattern("c4")) == 24
 
 
@@ -82,16 +82,16 @@ def test_symmetry_search_cuts_refined_cells_to_orbits(monkeypatch):
     real_search = counting._symmetry_search
     monkeypatch.setattr(counting, "_symmetry_search",
                         lambda *a: searches.append(a) or real_search(*a))
-    _compile(get_pattern("c4"))
+    _compile.__wrapped__(get_pattern("c4").graph)
     assert searches
     searches.clear()
-    plan = _compile(p)
+    plan = _compile.__wrapped__(p.graph)
     assert searches
     assert any(plan.smaller_positions)
     # in K8: choose the triangle's 3 nodes, then 3 four-cycles on 4 of the
     # remaining 5 nodes
-    assert count_subgraphs(complete_graph(8), p, plan) == 56 * 5 * 3
-    assert count_subgraphs(cycle(7), p, plan) == 0
+    assert count_subgraphs(complete_graph(8), p) == 56 * 5 * 3
+    assert count_subgraphs(cycle(7), p) == 0
 
 
 def test_patterns_at_the_node_cap_compile_and_count():
@@ -103,8 +103,9 @@ def test_patterns_at_the_node_cap_compile_and_count():
 
 
 def test_one_kernel_per_plan_shape():
-    # every call without a plan compiles or walks the pattern again; the
-    # shape is the same, so each shape's kernel is generated once and reused
+    # every call walks the pattern again or takes its compiled plan from the
+    # memo; the shape is the same, so each shape's kernel is generated once
+    # and reused
     counting._kernel.cache_clear()
     p = get_pattern("c5")
     rng = np.random.default_rng(5)
@@ -117,6 +118,21 @@ def test_one_kernel_per_plan_shape():
     assert info.hits > 0
 
 
+def test_plans_compile_once_per_pattern_shape():
+    # the memo is keyed by the pattern's graph: counting in many hosts
+    # compiles once, and two Pattern objects on equal graphs share a plan
+    _compile.cache_clear()
+    p = get_pattern("c5")
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        count_subgraphs(make_random_graph(7, 0.5, rng), p)
+    assert _compile.cache_info().misses == 1
+    twin = Pattern(cycle_graph(5), name="twin")
+    assert twin.graph is not p.graph
+    assert _compile(twin.graph) is _compile(p.graph)
+    assert _compile.cache_info().misses == 1
+
+
 def test_kernels_take_only_the_hosts_their_masks_allow():
     # a level's degree mask filters its candidates: with every level held
     # to a node set S, a kernel counts the copies inside the subgraph on S
@@ -127,11 +143,11 @@ def test_kernels_take_only_the_hosts_their_masks_allow():
         allowed = sum(1 << u for u in keep)
         sub = Graph(g.adj[np.ix_(keep, keep)])
         for p in PATTERN_LIBRARY.values():
-            plan = _compile(p)
+            plan = _compile(p.graph)
             kernel = counting._kernel(plan.prev_positions,
                                       plan.smaller_positions)
             assert (kernel(g.neighbor_masks, -1, *[allowed] * len(plan.order))
-                    == count_subgraphs(sub, p, plan)), p
+                    == count_subgraphs(sub, p)), p
 
 
 def test_each_level_is_held_to_hosts_with_its_nodes_degree(monkeypatch):
@@ -146,9 +162,9 @@ def test_each_level_is_held_to_hosts_with_its_nodes_degree(monkeypatch):
 
     monkeypatch.setattr(counting, "_kernel", spy)
     p3 = Pattern(path_graph(3))
-    plan = _compile(p3)
+    plan = _compile(p3.graph)
     assert plan.order[0] == 1
-    assert count_subgraphs(path_graph(4), p3, plan) == 2
+    assert count_subgraphs(path_graph(4), p3) == 2
     assert calls == [(0b0110, 0b1111, 0b1111)]
 
 

@@ -107,7 +107,7 @@ def test_library_plans_are_symmetry_broken():
     # every plan is symmetry-broken, so eval counts each subgraph once: it
     # has constraints exactly when the pattern has symmetry, C3 plus C4 too
     for p in PATTERNS:
-        plan = _compile(p)
+        plan = _compile(p.graph)
         assert any(plan.smaller_positions) == (automorphism_count(p.graph) > 1), p.name
 
 
@@ -127,11 +127,11 @@ def test_atlas_patterns_compile_to_symmetry_broken_plans(monkeypatch):
         p = Pattern(from_nx(h))
         aut = automorphism_count(p.graph)
         searches.clear()
-        plan = _compile(p)
+        plan = _compile.__wrapped__(p.graph)
         assert bool(searches) == (aut > 1), h.edges
         assert any(plan.smaller_positions) == (aut > 1), h.edges
         for g in hosts:
-            found = count_subgraphs(g, p, plan)
+            found = count_subgraphs(g, p)
             assert found * aut == count_injective_homs(g, p), h.edges
             nonzero += found > 0
         patterns += 1
@@ -145,7 +145,7 @@ def orbit_constraints(p):
     each node's orbit under those fixing the nodes before it."""
     h = to_nx(p.graph)
     stabilizer = list(GraphMatcher(h, h).isomorphisms_iter())
-    order = _walk(p).order
+    order = _walk(p.graph).order
     smaller = [[] for _ in order]
     for i, v in enumerate(order):
         for u in {a[v] for a in stabilizer} - {v}:
@@ -161,7 +161,7 @@ def test_plans_take_their_orbits_from_the_automorphisms():
                 if h.number_of_nodes() <= 6] + [Pattern(from_nx(EXTRA["C3_C4"]))]
     assert len(patterns) == 210
     for p in patterns:
-        assert _compile(p).smaller_positions == orbit_constraints(p), p.graph.edge_list
+        assert _compile(p.graph).smaller_positions == orbit_constraints(p), p.graph.edge_list
 
 
 # a cubic graph on 12 nodes (|Aut| = 32) that refinement leaves as one cell
@@ -177,5 +177,5 @@ def test_twelve_node_regular_patterns_match_networkx(h):
     # on 13 nodes, the pattern plus three chords holds one copy of it
     p = Pattern(from_nx(h))
     host = Graph.from_edges(13, [*p.graph.edge_list, (12, 0), (12, 5), (3, 8)])
-    assert any(_compile(p).smaller_positions)
+    assert any(_compile(p.graph).smaller_positions)
     assert count_subgraphs(host, p) == nx_subgraph_count(host, p) == 1

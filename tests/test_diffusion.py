@@ -10,7 +10,7 @@ import pytest
 
 from motifdiff import diffusion, polynomials
 from motifdiff.diffusion import (NoiseSchedule, ScoreConfig, ScoreOracle,
-                                 permute_matrix, perturb, quantize,
+                                 permute_matrix, quantize,
                                  random_symmetric, symmetric_from_upper,
                                  upper_vector, validate_symmetric)
 from motifdiff.errors import (CapacityError, InputError, NumericalRegimeError,
@@ -98,20 +98,6 @@ def test_schedule_validation():
         sched.alpha_beta(0.0)
     with pytest.raises(InputError):
         sched.rate(1.1)
-
-
-def test_perturb_is_seeded_and_symmetric():
-    g = complete_graph(4)
-    sched = NoiseSchedule()
-    W1 = perturb(g, 0.5, sched, np.random.default_rng(9))
-    W2 = perturb(g, 0.5, sched, np.random.default_rng(9))
-    assert np.array_equal(W1, W2)
-    assert np.array_equal(W1, W1.T)
-    assert not np.diagonal(W1).any()
-    # at tiny t the noise term is ~1e-2, so the signal dominates every slot
-    W3 = perturb(g, 1e-3, sched, np.random.default_rng(9))
-    a3, _ = sched.alpha_beta(1e-3)
-    assert W3[0, 1] == pytest.approx(a3, abs=0.1)
 
 
 def test_quantize_threshold_is_strict():

@@ -3,9 +3,13 @@
 `python -m motifdiff` flushes stdout and stderr and ends without the
 interpreter's teardown; every run here must match a reference process that
 leaves the ordinary way. PYTHONUNBUFFERED is unset, so stdout to a pipe or
-a file is block-buffered, as in a shell pipeline.
+a file is block-buffered, as in a shell pipeline. Runs started with stdout
+or stderr closed, where Python sets that stream to None, check the rule for
+closed streams: human lines go to stderr or nowhere, and a report meant for
+a closed stdout exits 2.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -93,3 +97,35 @@ def test_importing_the_entry_module_runs_nothing():
     done = subprocess.run([sys.executable, "-c", "import motifdiff.__main__"],
                           capture_output=True, env=src_env(), timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+
+
+def closed(fd, argv):
+    """`python -m motifdiff argv`, started with file descriptor `fd` closed."""
+    return subprocess.run([sys.executable, "-m", "motifdiff", *argv],
+                          capture_output=True, env=src_env(), timeout=120,
+                          preexec_fn=lambda: os.close(fd))
+
+
+def test_closed_stderr_keeps_human_lines_off_stdout(hosts, tmp_path):
+    # print(..., file=None) would write them to stdout
+    done = closed(2, ["count", "--in", hosts, "--patterns", "c3"])
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["n_graphs"] == 600
+    refused = closed(2, ["count", "--in", hosts, "--patterns", "c99"])
+    assert (refused.returncode, refused.stdout) == (2, b"")
+    out = tmp_path / "counts.json"
+    done = closed(2, ["count", "--in", hosts, "--patterns", "c3",
+                      "--out", str(out)])
+    assert (done.returncode, done.stdout) == (0, b"")
+    assert json.loads(out.read_text())["n_graphs"] == 600
+
+
+def test_closed_stdout_refuses_a_report_with_exit_2(hosts, tmp_path):
+    done = closed(1, ["count", "--in", hosts, "--patterns", "c3"])
+    assert done.returncode == 2
+    assert done.stderr == b"error: stdout is closed; name a report file with --out\n"
+    out = tmp_path / "counts.json"
+    done = closed(1, ["count", "--in", hosts, "--patterns", "c3",
+                      "--out", str(out)])
+    assert done.returncode == 0
+    assert json.loads(out.read_text())["n_graphs"] == 600

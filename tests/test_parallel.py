@@ -120,7 +120,7 @@ def test_a_worker_error_keeps_its_type_and_message(deadline, monkeypatch,
     assert main(["gen-data", "--pattern", "c3", "--n", "4", "--count", "4",
                  "--seed", "7", "--out", data]) == 0
 
-    def over_cap(g, pattern, plan=None):
+    def over_cap(g, pattern):
         raise CapacityError(f"{pattern.name} is over the cap")
 
     monkeypatch.setattr(counting, "count_subgraphs", over_cap)
