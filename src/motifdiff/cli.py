@@ -14,7 +14,7 @@ import os
 import sys
 
 from .config import SUITE_NAMES, NoiseSchedule, ScoreConfig
-from .counting import CountDistribution, _compile, count_table
+from .counting import _compile, count_table, histogram
 from .dataio import read_dataset, write_dataset
 from .datagen import DECORATIONS, plant_pattern_dataset
 from .errors import InputError, MotifdiffError
@@ -26,6 +26,10 @@ from .schemas import (COUNT_REPORT, EVAL_REPORT, TRAJECTORY_LINE,
                       VERIFY_REPORT, validate_output)
 
 
+# the most worker processes one command forks, each with its own pipe
+THREADS_CAP = 256
+
+
 def _default_threads() -> int:
     env = os.environ.get("MOTIFDIFF_THREADS")
     if env is not None:
@@ -33,7 +37,7 @@ def _default_threads() -> int:
             return max(1, int(env))
         except ValueError:
             raise InputError(f"MOTIFDIFF_THREADS={env!r} is not an integer") from None
-    return os.cpu_count() or 1
+    return min(os.cpu_count() or 1, THREADS_CAP)
 
 
 def _note(line: str) -> None:
@@ -76,7 +80,7 @@ def cmd_count(args) -> int:
     for p, values in zip(patterns, table):
         report["patterns"][p.name] = {
             "per_graph": values,
-            "histogram": CountDistribution.from_counts(values).to_json_dict(),
+            "histogram": histogram(values),
         }
     validate_output(report, COUNT_REPORT)
     _emit(report, args.out)
@@ -157,14 +161,12 @@ def cmd_eval(args) -> int:
     patterns = resolve_patterns(names)
     report = evaluate(train, gen, patterns, novelty_mode=args.novelty_mode,
                       threads=args.threads)
-    payload = report.to_json_dict()
-    payload["config"]["train"] = str(args.train)
-    payload["config"]["gen"] = str(args.gen)
-    validate_output(payload, EVAL_REPORT)
-    _emit(payload, args.out)
-    worst = max((pe["tv"] for pe in payload["patterns"].values()), default=0.0)
+    report["config"].update(train=str(args.train), gen=str(args.gen))
+    validate_output(report, EVAL_REPORT)
+    _emit(report, args.out)
+    worst = max((pe["tv"] for pe in report["patterns"].values()), default=0.0)
     _note(f"evaluated {len(patterns)} pattern(s); worst tv {worst:.4f};"
-          f" novelty {report.novelty:.4f}")
+          f" novelty {report['novelty']:.4f}")
     return 0
 
 
@@ -198,8 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_threads(p):
         p.add_argument("--threads", type=int, default=None,
-                       help="worker processes (default: MOTIFDIFF_THREADS or"
-                            " all cores); never affects output bytes")
+                       help=f"worker processes, at most {THREADS_CAP}"
+                            " (default: MOTIFDIFF_THREADS or all cores);"
+                            " never affects output bytes")
 
     def add_out(p, required=False):
         p.add_argument("--out", required=required,
@@ -283,12 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args) -> None:
-    """Refuse, before any work, an output path that is a directory or in a
-    missing one, one file named by both --out and --trajectories, and a
-    report meant for a closed stdout."""
+    """Refuse, before any work, an output path that is empty, a directory
+    or in a missing directory, one file named by both --out and
+    --trajectories, and a report meant for a closed stdout."""
     paths = [getattr(args, flag, None) for flag in ("out", "trajectories")]
     if paths[0] is None and sys.stdout is None:
         raise InputError("stdout is closed; name a report file with --out")
+    for flag, path in zip(("--out", "--trajectories"), paths):
+        if path == "":
+            raise InputError(f"{flag} names no file")
     for path in filter(None, paths):
         if os.path.isdir(path):
             raise InputError(f"output path {path} is a directory")
@@ -308,6 +314,10 @@ def main(argv=None) -> int:
         # count, eval and sample read MOTIFDIFF_THREADS only when it is used
         if getattr(args, "threads", 0) is None:
             args.threads = _default_threads()
+        if getattr(args, "threads", 0) > THREADS_CAP:
+            raise InputError(f"{args.threads} worker processes asked for"
+                             f" (--threads or MOTIFDIFF_THREADS); at most"
+                             f" {THREADS_CAP}")
         _check_outputs(args)
         return args.func(args)
     except (MotifdiffError, OSError) as exc:

@@ -28,9 +28,10 @@ orbit sizes multiply to |Aut|.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import ContractError, InputError
 from .graphs import (Graph, Pattern, _individualize, _refine_colors,
@@ -198,44 +199,19 @@ def count_subgraphs(g: Graph, p: Pattern) -> int:
     return _count_embeddings(g, _compile(p.graph))
 
 
-@dataclass(frozen=True)
-class CountDistribution:
-    """Empirical distribution of a pattern's count over a dataset, kept as
-    integer counts per value; the mass is derived from them."""
-
-    counts: Mapping[int, int]
-
-    def __post_init__(self):
-        counts = {int(k): int(v) for k, v in dict(self.counts).items()}
-        if any(v < 0 for v in counts.values()):
-            raise ContractError("histogram counts must be non-negative")
-        if not sum(counts.values()):
-            raise ContractError("cannot build a distribution from no samples")
-        object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_counts(cls, values) -> "CountDistribution":
-        counts: dict[int, int] = {}
-        for v in map(int, values):
-            counts[v] = counts.get(v, 0) + 1
-        return cls(counts)
-
-    @property
-    def sample_size(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def mass(self) -> dict[int, float]:
-        total = self.sample_size
-        return {k: c / total for k, c in self.counts.items()}
-
-    def to_json_dict(self) -> dict:
-        mass = self.mass
-        return {
-            "mass": {str(k): mass[k] for k in sorted(mass)},
-            "sample_size": self.sample_size,
-            "counts": {str(k): self.counts[k] for k in sorted(self.counts)},
-        }
+def histogram(values) -> dict:
+    """Empirical distribution of a pattern's count over a dataset, as the
+    reports write it: per value, keyed by its decimal string in numeric
+    order, the number of graphs and their share; plus the sample size."""
+    counts = Counter(map(int, values))
+    if not counts:
+        raise ContractError("cannot build a distribution from no samples")
+    total = sum(counts.values())
+    return {
+        "mass": {str(k): counts[k] / total for k in sorted(counts)},
+        "sample_size": total,
+        "counts": {str(k): counts[k] for k in sorted(counts)},
+    }
 
 
 def count_table(graphs: Sequence[Graph], patterns: Sequence[Pattern],

@@ -30,7 +30,6 @@ count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -486,30 +485,6 @@ VERIFY_NODE_CAP = 6
 VERIFY_ORDER_CAP = 4
 
 
-@dataclass(frozen=True, eq=False)
-class BasisExpansionReport:
-    """Both sides of the order-k moment decomposition, for inspection."""
-
-    order: int
-    n: int
-    f_moment: np.ndarray
-    f_basis: np.ndarray
-    g_moment: float
-    g_basis: float
-
-    @property
-    def f_discrepancy(self) -> float:
-        return float(np.abs(self.f_moment - self.f_basis).max())
-
-    @property
-    def g_discrepancy(self) -> float:
-        return abs(self.g_moment - self.g_basis)
-
-    @property
-    def max_discrepancy(self) -> float:
-        return max(self.f_discrepancy, self.g_discrepancy)
-
-
 def _require_verifiable(n: int, k: int) -> None:
     if n > VERIFY_NODE_CAP or k > VERIFY_ORDER_CAP:
         raise CapacityError(
@@ -518,7 +493,8 @@ def _require_verifiable(n: int, k: int) -> None:
             f" n<={VERIFY_NODE_CAP}, k<={VERIFY_ORDER_CAP}")
 
 
-def verify_basis_expansion(W, k: int, dataset: Dataset) -> BasisExpansionReport:
+def verify_basis_expansion(W, k: int, dataset: Dataset
+                           ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Check the order-k term of the series score against its polynomial form.
 
     Moment side: averages over every (training graph, permutation) pair of
@@ -526,8 +502,9 @@ def verify_basis_expansion(W, k: int, dataset: Dataset) -> BasisExpansionReport:
     full-matrix inner products. Basis side: the same quantities reassembled
     from invariant and equivariant basis polynomials, one term per set
     partition of the 2k+2 index positions, with the completion factorials
-    the grouping by injective placements requires. The two must agree to
-    float precision; their difference is the report's discrepancy.
+    the grouping by injective placements requires. Returns both sides,
+    (f_moment, f_basis, g_moment, g_basis), which must agree to float
+    precision.
     """
     arr = validate_symmetric(W)
     n = arr.shape[0]
@@ -581,6 +558,4 @@ def verify_basis_expansion(W, k: int, dataset: Dataset) -> BasisExpansionReport:
         g_basis += weight * (factorial(n - kp) * monomial_sum(arr, kp, multi)
                              / nfact)
 
-    return BasisExpansionReport(order=k, n=n, f_moment=f_moment,
-                                f_basis=f_basis, g_moment=g_moment,
-                                g_basis=float(g_basis))
+    return f_moment, f_basis, g_moment, float(g_basis)

@@ -108,7 +108,7 @@ def test_criterion_6_end_to_end_substructure_preservation():
         oracle = ScoreOracle(train, n, cfg=cfg)
         graphs = oracle.reverse_sample(500, range(100))
         report = evaluate(train, Dataset(graphs=tuple(graphs)), [pattern])
-        tvs[name] = report.per_pattern[name].tv
+        tvs[name] = report["patterns"][name]["tv"]
     elapsed = time.monotonic() - start
     ok = all(tv <= 0.10 for tv in tvs.values()) and elapsed <= 900.0
     detail = ", ".join(f"TV({k})={v:.3f}" for k, v in sorted(tvs.items()))
@@ -126,9 +126,9 @@ def test_criterion_7_point_mass_tv_is_exact():
     c3 = PATTERN_LIBRARY["c3"]
 
     gen_a = Dataset(graphs=(one_tri,) * 7 + (four_tri, four_tri, no_tri))
-    tv_a = evaluate(train, gen_a, [c3]).per_pattern["c3"].tv
+    tv_a = evaluate(train, gen_a, [c3])["patterns"]["c3"]["tv"]
     gen_b = Dataset(graphs=(one_tri,) * 64 + (four_tri,) * 18 + (no_tri,) * 15)
-    tv_b = evaluate(train, gen_b, [c3]).per_pattern["c3"].tv
+    tv_b = evaluate(train, gen_b, [c3])["patterns"]["c3"]["tv"]
 
     ok = tv_a == 0.30 and tv_b == float(Fraction(33, 97))
     _conclude(7, ok, f"tv {tv_a!r} == 0.3 exactly and"

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from motifdiff import counting, diffusion, graphs
+from motifdiff import cli, counting, diffusion, graphs
 from motifdiff.cli import _default_threads, build_parser, main
 from motifdiff.counting import count_subgraphs
 from motifdiff.dataio import read_dataset, write_dataset
@@ -110,6 +110,35 @@ def test_out_in_missing_directory_exits_2_before_work(train_path, tmp_path,
 
 def _no_oracle(self, *args, **kwargs):
     raise AssertionError("the oracle was built before the input was checked")
+
+
+def _no_read(path):
+    raise AssertionError(f"{path} was read before the flags were checked")
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--trajectories", ["sample", "--train", "train.jsonl", "--num-samples", "2",
+                        "--steps", "10", "--out", "g.jsonl",
+                        "--trajectories", ""]),
+    ("--out", ["sample", "--train", "train.jsonl", "--num-samples", "2",
+               "--steps", "10", "--out", ""]),
+    ("--out", ["gen-data", "--pattern", "c3", "--n", "4", "--count", "2",
+               "--out", ""]),
+    ("--out", ["count", "--in", "train.jsonl", "--patterns", "c3", "--out", ""]),
+    ("--out", ["eval", "--train", "train.jsonl", "--gen", "train.jsonl",
+               "--out", ""]),
+    ("--out", ["verify", "--suite", "basis", "--n", "3", "--out", ""])],
+    ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_empty_output_path_exits_2_before_work(flag, argv, train_path,
+                                               tmp_path, capsys, monkeypatch):
+    # an empty path names no file: before, sample wrote --out and then
+    # failed on "", and count, eval and verify wrote the report to stdout
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "read_dataset", _no_read)
+    before = sorted(os.listdir(tmp_path))
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} names no file\n")
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 @pytest.mark.parametrize("flag", ["--out", "--trajectories"])
@@ -560,6 +589,36 @@ def test_default_threads_env(monkeypatch, train_path, tmp_path, capsys):
         run(["--help"])
     assert help_exit.value.code == 0
     assert capsys.readouterr().out.startswith("usage: motifdiff")
+
+
+def _no_fork():
+    raise AssertionError("a worker was forked")
+
+
+def test_threads_above_the_cap_exit_2_before_any_fork(train_path, tmp_path,
+                                                     capsys, monkeypatch):
+    # at the cap the flag is taken (six graphs, so six workers)
+    assert run(["count", "--in", train_path, "--patterns", "c3", "--threads",
+                str(cli.THREADS_CAP), "--out", str(tmp_path / "c.json")]) == 0
+    assert capsys.readouterr().err == "counted 1 pattern(s) over 6 graph(s)\n"
+    monkeypatch.setattr(os, "fork", _no_fork)
+    monkeypatch.setattr(cli, "read_dataset", _no_read)
+    want = (f"error: {cli.THREADS_CAP + 1} worker processes asked for"
+            f" (--threads or MOTIFDIFF_THREADS); at most {cli.THREADS_CAP}\n")
+    for argv in (["count", "--in", train_path, "--patterns", "c3"],
+                 ["eval", "--train", train_path, "--gen", train_path],
+                 ["sample", "--train", train_path, "--num-samples", "2",
+                  "--steps", "10", "--out", str(tmp_path / "g.jsonl")]):
+        assert run(argv + ["--threads", str(cli.THREADS_CAP + 1)]) == 2
+        assert capsys.readouterr().err == want
+        monkeypatch.setenv("MOTIFDIFF_THREADS", str(cli.THREADS_CAP + 1))
+        assert run(argv) == 2
+        assert capsys.readouterr().err == want
+        monkeypatch.delenv("MOTIFDIFF_THREADS")
+    assert not (tmp_path / "g.jsonl").exists()
+    # the default is every core, up to the cap
+    monkeypatch.setattr(os, "cpu_count", lambda: 100_000)
+    assert _default_threads() == cli.THREADS_CAP
 
 
 def test_stdout_emission(train_path, capsys):

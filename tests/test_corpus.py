@@ -28,6 +28,7 @@ import pytest
 from motifdiff.cli import main
 
 CORPUS = Path(__file__).with_name("corpus.json")
+MANIFEST = json.loads(CORPUS.read_text(encoding="utf-8"))
 THREADED = ("count", "eval", "sample")
 NUMPY_BACKED = ("sample", "verify")
 
@@ -82,21 +83,17 @@ def replay(corpus: dict, root: Path) -> dict[tuple[str, int], dict]:
     return records
 
 
-def _corpus() -> dict:
-    return json.loads(CORPUS.read_text(encoding="utf-8"))
-
-
 @pytest.fixture(scope="module")
 def records(tmp_path_factory):
-    return replay(_corpus(), tmp_path_factory.mktemp("corpus"))
+    return replay(MANIFEST, tmp_path_factory.mktemp("corpus"))
 
 
 @pytest.mark.parametrize("call, threads", [
     pytest.param(call, threads, id=f"{call['id']}-threads{threads}")
-    for call in _corpus()["calls"] for threads in _thread_counts(call)])
+    for call in MANIFEST["calls"] for threads in _thread_counts(call)])
 def test_call_matches_its_recorded_digests(records, call, threads):
     got = records[call["id"], threads]
-    recorded_numpy = _corpus()["numpy"]
+    recorded_numpy = MANIFEST["numpy"]
     if call["argv"][0] in NUMPY_BACKED and np.__version__ != recorded_numpy:
         pytest.skip(f"{call['id']}: digests recorded under numpy"
                     f" {recorded_numpy}, this is numpy {np.__version__}")
@@ -109,11 +106,10 @@ if __name__ == "__main__":
 
     if sys.argv[1:] != ["--record"]:
         sys.exit(f"usage: {sys.argv[0]} --record")
-    corpus = _corpus()
     with tempfile.TemporaryDirectory() as tmp:
-        records = replay(corpus, Path(tmp))
-    corpus["numpy"] = np.__version__
-    for call in corpus["calls"]:
+        records = replay(MANIFEST, Path(tmp))
+    MANIFEST["numpy"] = np.__version__
+    for call in MANIFEST["calls"]:
         call.update(records[call["id"], 1])
-    CORPUS.write_text(json.dumps(corpus, indent=2) + "\n", encoding="utf-8")
-    print(f"recorded {len(corpus['calls'])} calls under numpy {np.__version__}")
+    CORPUS.write_text(json.dumps(MANIFEST, indent=2) + "\n", encoding="utf-8")
+    print(f"recorded {len(MANIFEST['calls'])} calls under numpy {np.__version__}")

@@ -129,7 +129,7 @@ def test_readme_library_use_runs_and_matches_the_cli(tmp_path, capsys):
     scope: dict = {}
     exec(compile(code, "README.md", "exec"), scope)
     (printed,) = capsys.readouterr().out.splitlines()
-    assert printed == repr(scope["report"].per_pattern["c4"].tv)
+    assert printed == repr(scope["report"]["patterns"]["c4"]["tv"])
     train, gen = tmp_path / "train.jsonl", tmp_path / "gen.jsonl"
     assert main(["gen-data", "--pattern", "c4", "--n", "5", "--count", "50",
                  "--seed", "0", "--out", str(train)]) == 0
